@@ -12,6 +12,7 @@ from .errors import (
     InsufficientViews,
     InvalidCluster,
     InvalidSpec,
+    InvalidWeights,
     IsolatedVertex,
     LengthMismatch,
     MVSpectralError,

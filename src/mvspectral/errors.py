@@ -74,6 +74,15 @@ class ZeroVolumeCluster(MVSpectralError):
         super().__init__(f"cluster {cluster} has zero volume")
 
 
+class InvalidWeights(MVSpectralError, ValueError):
+    """An affinity matrix has non-finite or negative entries.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_INPUT
+
+
 class NotSymmetric(MVSpectralError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 

@@ -86,7 +86,15 @@ def compute_embedding(set_: MultiViewSet, method: str, k: int):
 
     Returns:
         (Embedding, weight list or None for the joint-diagonalization method)
+
+    Raises:
+        InvalidSpec: ``k`` outside ``2..n``, checked before any eigensolve,
+            or an unknown method.
     """
+    if k < 2:
+        raise InvalidSpec(f"k={k} is below 2")
+    if k > set_.n:
+        raise InvalidSpec(f"k={k} exceeds the n={set_.n} vertices")
     if method == "mvsc":
         w = mvsc_weights(set_.m)
         return embed(set_, w, k, method="mvsc"), w.alpha

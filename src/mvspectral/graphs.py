@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     InvalidCluster,
+    InvalidWeights,
     IsolatedVertex,
     ZeroVarianceColumn,
     ZeroVolumeCluster,
@@ -53,6 +54,10 @@ class ViewGraph:
         The matrix must be square with finite nonnegative entries.  Asymmetry
         above ``ASYMMETRY_WARN`` (relative) is tolerated with a warning and
         averaged away; the diagonal is forced to zero.
+
+        Raises:
+            DimensionError: not square, or fewer than 2 vertices.
+            InvalidWeights: non-finite or negative entries.
         """
         w = np.array(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -60,7 +65,7 @@ class ViewGraph:
         if w.shape[0] < 2:
             raise DimensionError("graph needs at least 2 vertices")
         if not np.all(np.isfinite(w)):
-            raise ValueError("affinity matrix contains non-finite entries")
+            raise InvalidWeights("affinity matrix contains non-finite entries")
         scale = float(np.abs(w).max())
         asym = float(np.abs(w - w.T).max())
         if scale > 0 and asym > ASYMMETRY_WARN * scale:
@@ -71,7 +76,7 @@ class ViewGraph:
             )
         w = 0.5 * (w + w.T)
         if float(w.min()) < 0.0:
-            raise ValueError("affinity matrix has negative entries")
+            raise InvalidWeights("affinity matrix has negative entries")
         np.fill_diagonal(w, 0.0)
         w.setflags(write=False)
         return cls(n=w.shape[0], weights=w, label=label)

@@ -45,6 +45,10 @@ def _parse_float(token: str, path, line_no: int) -> float:
 def read_matrix_csv(path):
     """Read a comma-separated numeric matrix, tolerating one header row.
 
+    Raises:
+        ParseError: unreadable file, a non-numeric or non-finite (``nan``,
+            ``inf``) token, or a ragged row; the line is named.
+
     Returns:
         (2-d float array, header names or None)
     """
@@ -54,6 +58,7 @@ def read_matrix_csv(path):
     except OSError as exc:
         raise ParseError(path, detail=str(exc)) from exc
     rows = []
+    row_lines = []
     header = None
     width = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -73,9 +78,16 @@ def read_matrix_csv(path):
         elif len(values) != width:
             raise ParseError(path, line_no, f"expected {width} columns, got {len(values)}")
         rows.append(values)
+        row_lines.append(line_no)
     if not rows:
         raise ParseError(path, detail="no numeric rows")
-    return np.asarray(rows, dtype=np.float64), header
+    matrix = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, col = bad[0]
+        raise ParseError(path, row_lines[row],
+                         f"non-finite value {rows[row][col]!r} in column {col + 1}")
+    return matrix, header
 
 
 def load_adjacency(path, label: str | None = None):

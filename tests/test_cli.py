@@ -138,6 +138,30 @@ class TestExitCodes:
                         "--num-seeds", 3])
         assert code == 3
 
+    def test_nan_entry_is_input_error(self, tmp_path, capsys):
+        w = np.ones((4, 4))
+        np.fill_diagonal(w, 0.0)
+        rows = [[repr(float(v)) for v in row] for row in w]
+        rows[1][2] = rows[2][1] = "nan"
+        (tmp_path / "nan.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "nan.csv", "type": "adjacency"}]))
+        code = run_cli(["cluster", "--manifest", manifest, "--method", "mvsc", "--k", 2])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "nan.csv:2" in err
+
+    def test_k_above_n_is_config_error(self, tmp_path, capsys):
+        family = tmp_path / "n116"
+        assert run_cli(["synth", "--n", 116, "--m", 2, "--outdir", family,
+                        "--output", tmp_path / "synth.json"]) == 0
+        code = run_cli(["cluster", "--manifest", family / "manifest.json",
+                        "--method", "mvsc", "--k", 117])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == ["error: k=117 exceeds the n=116 vertices"]
+
     def test_bad_flag_is_config_error(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["cluster", "--manifest", "x.json", "--method", "umap"])

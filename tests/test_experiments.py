@@ -242,6 +242,22 @@ class TestRunPipeline:
         b = Labelling(assignment=np.array(run_b.assignment), k=truth.k)
         assert dice(a, b) == 1.0
 
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    @pytest.mark.parametrize("k, message", [(41, "k=41 exceeds the n=40 vertices"),
+                                            (1, "k=1 is below 2")])
+    def test_compute_embedding_k_out_of_range(self, planted_small, monkeypatch,
+                                              method, k, message):
+        views, _ = planted_small
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver reached before the k check")
+
+        for name in ("embed", "mvscw_weights", "aasc_weights", "joint_diagonalize"):
+            monkeypatch.setattr(experiments, name, no_solve)
+        with pytest.raises(InvalidSpec, match=message) as info:
+            compute_embedding(views, method, k)
+        assert info.value.exit_code == 4
+
     def test_compute_embedding_weight_reporting(self, planted_small):
         views, truth = planted_small
         emb, weights = compute_embedding(views, "jdl", truth.k)

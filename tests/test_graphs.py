@@ -6,6 +6,7 @@ import pytest
 from mvspectral import (
     DimensionError,
     InvalidCluster,
+    InvalidWeights,
     IsolatedVertex,
     Partition,
     ViewGraph,
@@ -71,6 +72,13 @@ class TestViewGraph:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             ViewGraph.from_weights(np.array([[0.0, -0.1], [-0.1, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_invalid_entries_are_typed_input_errors(self, bad):
+        w = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(InvalidWeights) as info:
+            ViewGraph.from_weights(w)
+        assert info.value.exit_code == 2
 
     def test_not_square(self):
         with pytest.raises(DimensionError):

@@ -45,6 +45,14 @@ class TestReadMatrixCsv:
             read_matrix_csv(f)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_token_reports_line(self, tmp_path, token):
+        f = tmp_path / "nonfinite.csv"
+        f.write_text(f"# comment\n1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            read_matrix_csv(f)
+        assert info.value.line == 3
+
     def test_ragged_rows_rejected(self, tmp_path):
         f = tmp_path / "ragged.csv"
         f.write_text("1.0,2.0\n3.0\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
@@ -18,6 +20,7 @@ from mvspectral import (
     sym_eig,
 )
 from mvspectral.graphs import SYMMETRIC_NORMALIZED
+from mvspectral.jdl import _principal_rotation, _round_robin_schedule
 
 
 def graph_of(weights):
@@ -229,3 +232,77 @@ class TestJdlEmbed:
         assert emb.method == "jdl"
         assert emb.coords.shape == (7, 2)
         assert np.all(np.diff(emb.eigenvalues) >= 0)
+
+
+def scalar_rotation(g11, g12, g22):
+    """Scalar closed form of the pooled 2x2 Jacobi angle, one pair at a time."""
+    half_diff = 0.5 * (g11 - g22)
+    r = math.hypot(half_diff, g12)
+    if r <= 0.0:
+        return 1.0, 0.0
+    lam = 0.5 * (g11 + g22) + r
+    vx, vy = lam - g22, g12
+    wx, wy = g12, lam - g11
+    if math.hypot(wx, wy) > math.hypot(vx, vy):
+        vx, vy = wx, wy
+    norm = math.hypot(vx, vy)
+    if norm <= 0.0:
+        return 1.0, 0.0
+    x, y = vx / norm, vy / norm
+    if x < 0.0:
+        x, y = -x, -y
+    c = math.sqrt(0.5 * (1.0 + x))
+    return c, y / (2.0 * c)
+
+
+class TestRoundRobinOrdering:
+    @pytest.mark.parametrize("n", [2, 3, 7, 48])
+    def test_schedule_covers_each_pair_once_with_disjoint_steps(self, n):
+        schedule = _round_robin_schedule(n)
+        assert len(schedule) == (n - 1 if n % 2 == 0 else n)
+        seen = []
+        for p, q in schedule:
+            indices = np.concatenate([p, q])
+            assert len(set(indices.tolist())) == indices.size
+            assert np.all(p < q)
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def test_vectorized_angle_matches_scalar_closed_form(self):
+        rng = np.random.default_rng(15)
+        h1 = rng.normal(size=(5, 400)) * rng.uniform(0.0, 3.0, size=400)
+        h2 = rng.normal(size=(5, 400))
+        h1[:, :3] = 0.0  # r = 0: identity branch
+        h2[:, :3] = 0.0
+        h1[:, 3] = h2[:, 3] = 0.0
+        h1[0, 3] = 1.0  # h1 . h2 = 0 with g11 != g22
+        g11, g12, g22 = (h1 * h1).sum(0), (h1 * h2).sum(0), (h2 * h2).sum(0)
+        g11[4], g12[4], g22[4] = 2.0, 0.0, 2.0  # r = 0 with a nonzero form
+        c, s = _principal_rotation(g11, g12, g22)
+        ref = np.array([scalar_rotation(*g) for g in zip(g11, g12, g22)])
+        assert np.abs(c - ref[:, 0]).max() <= 1e-15
+        assert np.abs(s - ref[:, 1]).max() <= 1e-15
+        assert np.all(c[[0, 1, 2, 4]] == 1.0) and np.all(s[[0, 1, 2, 4]] == 0.0)
+
+    def test_odd_n_commuting_family_fully_diagonalized(self):
+        rng = np.random.default_rng(16)
+        n, m = 47, 3
+        shared = ortho_group.rvs(n, random_state=17)
+        mats = [shared @ np.diag(rng.normal(size=n)) @ shared.T for _ in range(m)]
+        initial = off_cost(mats, np.eye(n))
+        jd = joint_diagonalize_matrices(mats)
+        assert jd.converged
+        assert off_cost(mats, jd.basis) <= 1e-8 * initial
+
+
+class TestConvergedFlag:
+    def test_already_diagonal_converges_in_one_sweep(self):
+        jd = joint_diagonalize_matrices([np.diag([3.0, 1.0, 2.0]), np.diag([0.5, -1.0, 4.0])])
+        assert jd.converged is True
+        assert jd.sweeps_run == 1
+
+    def test_sweep_cap_reports_not_converged(self):
+        rng = np.random.default_rng(9)
+        jd = joint_diagonalize_matrices(random_symmetric_family(rng, 5, 10), max_sweeps=3)
+        assert jd.converged is False
+        assert jd.sweeps_run == 3
