@@ -11,12 +11,18 @@ from .errors import (
     DisconnectedGraph,
     InsufficientViews,
     InvalidCluster,
+    InvalidKind,
     InvalidSpec,
+    InvalidTimeSeries,
+    InvalidView,
+    InvalidWeightVector,
     InvalidWeights,
     IsolatedVertex,
     LengthMismatch,
     MVSpectralError,
     NoConvergence,
+    NonFiniteDistances,
+    NotOrthogonal,
     NotSymmetric,
     ParseError,
     ShapeMismatch,

@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="repetitions (default: 100 for consistency, 3 for timing)")
     common.add_argument("--group-sizes", type=_int_list,
                         default=list(DEFAULT_GROUP_SIZES))
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--output", type=Path, default=None,
                         help="write JSON here instead of stdout")
     common.add_argument("--row-normalize", action="store_true",
@@ -188,7 +187,7 @@ def _cmd_consistency(args) -> None:
         method=args.method, k=args.k, group_sizes=tuple(args.group_sizes),
         trials=args.trials if args.trials is not None else 100,
         num_seeds=args.num_seeds, rng_seed=args.seed,
-        workers=args.workers, row_normalize=args.row_normalize,
+        row_normalize=args.row_normalize,
     )
     _emit(consistency_experiment(views, cfg), args.output)
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .eigen import Embedding
-from .errors import ShapeMismatch, TooFewPoints
+from .errors import NonFiniteDistances, ShapeMismatch, TooFewPoints
 
 KMEANS_MAX_ITER = 300
 
@@ -81,6 +81,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     closest = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = float(closest.sum())
+        if not np.isfinite(total):
+            raise NonFiniteDistances("squared distances between points are not finite")
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
@@ -104,6 +106,7 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
 
     Raises:
         TooFewPoints: fewer points than clusters.
+        NonFiniteDistances: squared distances overflow, or a point is NaN.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DisconnectedGraph, IsolatedVertex, NoConvergence, NotSymmetric
-from .graphs import COMBINATORIAL, Laplacian
+from .errors import DimensionError, DisconnectedGraph, InvalidKind, NoConvergence, NotSymmetric
+from .graphs import COMBINATORIAL, Laplacian, degree_scaled
 
 SYMMETRY_RTOL = 1e-8
 
@@ -92,46 +92,35 @@ def sym_eig(a) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def _reduced_normalized(lap_matrix: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """D^(-1/2) L D^(-1/2), symmetrized against round-off."""
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    reduced = lap_matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return 0.5 * (reduced + reduced.T)
-
-
-def _check_degrees(degrees) -> np.ndarray:
-    d = np.asarray(degrees, dtype=np.float64)
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        raise IsolatedVertex(int(bad[0]))
-    return d
-
-
 def generalized_eig(lap: Laplacian | np.ndarray, degrees) -> GeneralizedEigenSolution:
     """Solve L x = lambda D x for a combinatorial Laplacian and degree vector.
 
     Raises:
+        InvalidKind: ``lap`` is a Laplacian of another kind.
         IsolatedVertex: some degree is not strictly positive.
     """
     if isinstance(lap, Laplacian):
         if lap.kind != COMBINATORIAL:
-            raise ValueError("generalized_eig expects the combinatorial Laplacian")
+            raise InvalidKind("generalized_eig expects the combinatorial Laplacian")
         mat = lap.matrix
     else:
         mat = np.asarray(lap, dtype=np.float64)
-    d = _check_degrees(degrees)
+    d = np.asarray(degrees, dtype=np.float64)
     if mat.shape[0] != d.shape[0]:
         raise DimensionError(f"Laplacian is {mat.shape}, degrees have length {d.shape[0]}")
-    pairs = sym_eig(_reduced_normalized(mat, d))
+    pairs = sym_eig(degree_scaled(mat, d))
     vectors = fix_column_signs(pairs.vectors / np.sqrt(d)[:, None])
     vectors.setflags(write=False)
     return GeneralizedEigenSolution(values=pairs.values, vectors=vectors)
 
 
 def generalized_eigvals(lap_matrix: np.ndarray, degrees) -> np.ndarray:
-    """Eigenvalues only of (L, D); cheaper when vectors are not needed."""
-    d = _check_degrees(degrees)
-    return scipy.linalg.eigh(_reduced_normalized(np.asarray(lap_matrix, dtype=np.float64), d),
+    """Eigenvalues only of (L, D); cheaper when vectors are not needed.
+
+    Raises:
+        IsolatedVertex: some degree is not strictly positive.
+    """
+    return scipy.linalg.eigh(degree_scaled(np.asarray(lap_matrix, dtype=np.float64), degrees),
                              eigvals_only=True)
 
 

@@ -83,6 +83,51 @@ class InvalidWeights(MVSpectralError, ValueError):
     exit_code = EXIT_INPUT
 
 
+class InvalidTimeSeries(MVSpectralError, ValueError):
+    """A time series holds non-finite values.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_INPUT
+
+
+class InvalidView(MVSpectralError, TypeError):
+    """A view collection holds an object that is not a ``ViewGraph``.
+
+    Also a ``TypeError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_INPUT
+
+
+class NotOrthogonal(MVSpectralError, ValueError):
+    """A basis required to be orthogonal is not, beyond tolerance.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_INPUT
+
+
+class InvalidWeightVector(MVSpectralError, ValueError):
+    """View weights are negative or do not sum to one.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_CONFIG
+
+
+class InvalidKind(MVSpectralError, ValueError):
+    """A Laplacian kind is unknown, or not the one an operation needs.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+    exit_code = EXIT_CONFIG
+
+
 class NotSymmetric(MVSpectralError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
@@ -101,6 +146,10 @@ class DisconnectedGraph(MVSpectralError):
         super().__init__(
             f"graph is disconnected: {zero_multiplicity} zero eigenvalues{detail}"
         )
+
+
+class NonFiniteDistances(MVSpectralError):
+    """Squared distances between points to cluster overflow or are NaN."""
 
 
 class DegenerateViewSpectrum(MVSpectralError):

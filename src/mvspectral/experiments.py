@@ -14,7 +14,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,20 +23,23 @@ except ImportError:  # optional: timing pins the loaded OpenBLAS builds via ctyp
     threadpool_info = threadpool_limits = None
 
 from .clustering import consensus_labelling, dice
-from .eigen import generalized_eig, zero_multiplicity
-from .errors import DimensionError, DisconnectedGraph, InsufficientViews, InvalidSpec
+from .errors import DimensionError, InsufficientViews, InvalidSpec
 from .io import RunReport, report_version
 from .jdl import jdl_embed, joint_diagonalize
-from .multiview import (
-    MultiViewSet,
-    aasc_weights,
-    aggregate,
-    embed,
-    mvsc_weights,
-    mvscw_weights,
-)
+from .multiview import MultiViewSet, aasc_weights, embed, mvsc_weights, mvscw_weights
 
-METHODS = ("mvsc", "mvscw", "aasc", "jdl")
+# The aggregation methods differ only in their view weights: each maps
+# (views, k) to (WeightVector, Embedding or None).  aasc returns the embedding
+# its weight search ends on; the others are embedded by the caller.  The
+# lambdas look the weight functions up when called, so rebinding a module
+# name (tests, tracing) reaches them.
+_AGGREGATION = {
+    "mvsc": lambda set_, k: (mvsc_weights(set_.m), None),
+    "mvscw": lambda set_, k: (mvscw_weights(set_, k), None),
+    "aasc": lambda set_, k: aasc_weights(set_, k)[:2],
+}
+
+METHODS = (*_AGGREGATION, "jdl")
 
 DEFAULT_GROUP_SIZES = (4, 8, 16, 32, 64, 128)
 
@@ -61,12 +63,10 @@ class ExperimentConfig:
     trials: int = 100
     num_seeds: int = 100
     rng_seed: int = 0
-    workers: int = 1
     row_normalize: bool = False
 
     def validate(self, available_views: int) -> None:
-        if self.method not in METHODS:
-            raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
+        check_method(self.method)
         if self.trials < 1:
             raise InvalidSpec(f"need at least one trial, got {self.trials}")
         if self.k < 2:
@@ -81,6 +81,16 @@ class ExperimentConfig:
             )
 
 
+def check_method(method: str) -> None:
+    """Reject a method name that is not in ``METHODS``.
+
+    Raises:
+        InvalidSpec: an unknown method.
+    """
+    if method not in METHODS:
+        raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def compute_embedding(set_: MultiViewSet, method: str, k: int):
     """Group-wise embedding for one method.
 
@@ -88,26 +98,21 @@ def compute_embedding(set_: MultiViewSet, method: str, k: int):
         (Embedding, weight list or None for the joint-diagonalization method)
 
     Raises:
-        InvalidSpec: ``k`` outside ``2..n``, checked before any eigensolve,
-            or an unknown method.
+        InvalidSpec: an unknown method, or ``k`` outside ``2..n``; both are
+            checked before any eigensolve.
     """
+    check_method(method)
     if k < 2:
         raise InvalidSpec(f"k={k} is below 2")
     if k > set_.n:
         raise InvalidSpec(f"k={k} exceeds the n={set_.n} vertices")
-    if method == "mvsc":
-        w = mvsc_weights(set_.m)
-        return embed(set_, w, k, method="mvsc"), w.alpha
-    if method == "mvscw":
-        w = mvscw_weights(set_, k)
-        return embed(set_, w, k, method="mvscw"), w.alpha
-    if method == "aasc":
-        w, emb, _ = aasc_weights(set_, k)
-        return emb, w.alpha
     if method == "jdl":
         jd = joint_diagonalize(set_)
         return jdl_embed(jd, set_, k), None
-    raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
+    w, emb = _AGGREGATION[method](set_, k)
+    if emb is None:
+        emb = embed(set_, w, k, method=method)
+    return emb, w.alpha
 
 
 @dataclass
@@ -130,6 +135,7 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
     diagonalization method reports sorted mean-diagonal column scores.
     ``suggested_k`` marks the largest consecutive ratio.
     """
+    check_method(method)
     if not 1 <= k_max <= set_.n - 1:
         raise DimensionError(f"k_max must be in 1..{set_.n - 1}, got {k_max}")
     if method == "jdl":
@@ -137,20 +143,8 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
         scores = np.sort(jd.mean_diagonal)
         values = scores[1:1 + k_max]
     else:
-        if method == "mvsc":
-            w = mvsc_weights(set_.m)
-        elif method == "mvscw":
-            w = mvscw_weights(set_, weight_k if weight_k is not None else k_max + 1)
-        elif method == "aasc":
-            w = aasc_weights(set_, weight_k if weight_k is not None else k_max + 1)[0]
-        else:
-            raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
-        agg = aggregate(set_, w)
-        sol = generalized_eig(agg.laplacian, agg.degrees)
-        zeros = zero_multiplicity(sol.values)
-        if zeros != 1:
-            raise DisconnectedGraph(zeros)
-        values = sol.values[1:1 + k_max]
+        w, _ = _AGGREGATION[method](set_, weight_k if weight_k is not None else k_max + 1)
+        values = embed(set_, w, k_max + 1).eigenvalues
     ratios = [float(values[i + 1] / values[i]) for i in range(len(values) - 1)]
     suggested = (int(np.argmax(ratios)) + 2) if ratios else 2
     return EigengapReport(
@@ -203,18 +197,13 @@ def consistency_experiment(set_: MultiViewSet, cfg: ExperimentConfig,
 
     For every group size and trial, two non-overlapping subsets are drawn,
     each is embedded and consensus-labelled, and the matched Dice coefficient
-    is recorded.  Trials may run on multiple workers; sub-seeding is keyed by
-    (group size, trial index) so the output is schedule-independent.
+    is recorded.  Sub-seeding is keyed by (group size, trial index), so any
+    trial can be reproduced alone.
     """
     cfg.validate(set_.m)
     sampler = subset_sampler or _disjoint_pair
     cells = [(gamma, t) for gamma in cfg.group_sizes for t in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda cell: _trial_dice(set_, cfg, cell[0], cell[1], sampler), cells))
-    else:
-        results = [_trial_dice(set_, cfg, gamma, t, sampler) for gamma, t in cells]
+    results = [_trial_dice(set_, cfg, gamma, t, sampler) for gamma, t in cells]
     values: dict = {gamma: [] for gamma in cfg.group_sizes}
     for (gamma, _), value in zip(cells, results):
         values[gamma].append(float(value))
@@ -334,8 +323,7 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
             f"group size {max(group_sizes)} exceeds available views ({set_.m})"
         )
     for method in methods:
-        if method not in METHODS:
-            raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
+        check_method(method)
     seconds: dict = {method: {} for method in methods}
     with _one_blas_thread() as pinned:
         for method in methods:
@@ -363,8 +351,6 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
 
 def run_pipeline(set_: MultiViewSet, cfg: ExperimentConfig) -> RunReport:
     """Embed, consensus-label and package one end-to-end run."""
-    if cfg.method not in METHODS:
-        raise InvalidSpec(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     start = time.perf_counter()
     emb, weights = compute_embedding(set_, cfg.method, cfg.k)
     embedding_seconds = time.perf_counter() - start

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import (
     DimensionError,
     InvalidCluster,
+    InvalidKind,
+    InvalidTimeSeries,
     InvalidWeights,
     IsolatedVertex,
     ZeroVarianceColumn,
@@ -51,13 +53,14 @@ class ViewGraph:
     def from_weights(cls, weights, label: str | None = None) -> "ViewGraph":
         """Validate, symmetrize and freeze a raw affinity matrix.
 
-        The matrix must be square with finite nonnegative entries.  Asymmetry
-        above ``ASYMMETRY_WARN`` (relative) is tolerated with a warning and
-        averaged away; the diagonal is forced to zero.
+        The matrix must be square with finite nonnegative entries and finite
+        degrees.  Asymmetry above ``ASYMMETRY_WARN`` (relative) is tolerated
+        with a warning and averaged away; the diagonal is forced to zero.
 
         Raises:
             DimensionError: not square, or fewer than 2 vertices.
-            InvalidWeights: non-finite or negative entries.
+            InvalidWeights: non-finite or negative entries, or a degree that
+                overflows float64.
         """
         w = np.array(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -78,6 +81,8 @@ class ViewGraph:
         if float(w.min()) < 0.0:
             raise InvalidWeights("affinity matrix has negative entries")
         np.fill_diagonal(w, 0.0)
+        if not np.all(np.isfinite(w.sum(axis=1))):
+            raise InvalidWeights("affinity matrix degrees overflow float64")
         w.setflags(write=False)
         return cls(n=w.shape[0], weights=w, label=label)
 
@@ -135,6 +140,7 @@ def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
     Raises:
         DimensionError: fewer than 3 samples or fewer than 2 regions.
         ZeroVarianceColumn: some column is constant.
+        InvalidTimeSeries: some value is not finite.
     """
     ts = np.asarray(series, dtype=np.float64)
     if ts.ndim != 2:
@@ -145,7 +151,7 @@ def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
     if n < 2:
         raise DimensionError(f"need at least 2 regions, got {n}")
     if not np.all(np.isfinite(ts)):
-        raise ValueError("time series contains non-finite values")
+        raise InvalidTimeSeries("time series contains non-finite values")
     stds = ts.std(axis=0)
     flat = np.flatnonzero(stds <= 0.0)
     if flat.size:
@@ -163,25 +169,38 @@ def degree(g: ViewGraph) -> np.ndarray:
     return g.weights.sum(axis=1)
 
 
+def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
+    """D^(-1/2) M D^(-1/2) with D = diag(degrees), symmetrized against round-off.
+
+    This is the one degree normalization behind the symmetric-normalized
+    Laplacian I - D^(-1/2) W D^(-1/2) and the reduction of the pencil (L, D).
+
+    Raises:
+        IsolatedVertex: some degree is not strictly positive.
+    """
+    d = np.asarray(degrees, dtype=np.float64)
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        raise IsolatedVertex(int(bad[0]))
+    inv_sqrt = 1.0 / np.sqrt(d)
+    scaled = matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return 0.5 * (scaled + scaled.T)
+
+
 def laplacian(g: ViewGraph, kind: str = COMBINATORIAL) -> Laplacian:
     """Build the combinatorial (D - W) or symmetric-normalized Laplacian.
 
     Raises:
+        InvalidKind: ``kind`` is not one of the two.
         IsolatedVertex: a zero-degree vertex blocks normalization.
     """
     if kind not in _LAPLACIAN_KINDS:
-        raise ValueError(f"unknown laplacian kind {kind!r}; expected one of {_LAPLACIAN_KINDS}")
+        raise InvalidKind(f"unknown laplacian kind {kind!r}; expected one of {_LAPLACIAN_KINDS}")
     d = degree(g)
     if kind == COMBINATORIAL:
         mat = np.diag(d) - g.weights
     else:
-        zero = np.flatnonzero(d <= 0.0)
-        if zero.size:
-            raise IsolatedVertex(int(zero[0]))
-        inv_sqrt = 1.0 / np.sqrt(d)
-        mat = -g.weights * inv_sqrt[:, None] * inv_sqrt[None, :]
-        np.fill_diagonal(mat, mat.diagonal() + 1.0)
-        mat = 0.5 * (mat + mat.T)
+        mat = np.eye(g.n) - degree_scaled(g.weights, d)
     mat.setflags(write=False)
     return Laplacian(matrix=mat, kind=kind)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Embedding, fix_column_signs
-from .errors import DimensionError, DimensionMismatch, IsolatedVertex, NotSymmetric
+from .errors import DimensionError, DimensionMismatch, IsolatedVertex, NotOrthogonal, NotSymmetric
 from .graphs import SYMMETRIC_NORMALIZED, laplacian
 from .multiview import MultiViewSet
 
@@ -59,7 +59,7 @@ def off_cost(matrices, basis) -> float:
     Raises:
         DimensionMismatch: matrices are not all square of one size, or the
             basis does not match.
-        ValueError: basis deviates from orthogonality beyond 1e-8.
+        NotOrthogonal: basis deviates from orthogonality beyond 1e-8.
     """
     mats = [np.asarray(a, dtype=np.float64) for a in matrices]
     if not mats:
@@ -72,7 +72,7 @@ def off_cost(matrices, basis) -> float:
     if q.shape != (n, n):
         raise DimensionMismatch(f"basis has shape {q.shape}, expected ({n}, {n})")
     if float(np.abs(q.T @ q - np.eye(n)).max()) > 1e-8:
-        raise ValueError("basis is not orthogonal within 1e-8")
+        raise NotOrthogonal("basis is not orthogonal within 1e-8")
     total = 0.0
     for a in mats:
         rotated = q.T @ a @ q

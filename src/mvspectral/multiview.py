@@ -19,8 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Embedding, generalized_eig, generalized_eigvals, smallest_nontrivial
-from .errors import DegenerateViewSpectrum, DimensionError, IsolatedVertex, LengthMismatch
-from .graphs import ViewGraph
+from .errors import (
+    DegenerateViewSpectrum,
+    DimensionError,
+    InvalidView,
+    InvalidWeightVector,
+    IsolatedVertex,
+    LengthMismatch,
+)
+from .graphs import ViewGraph, degree, laplacian
 
 # Views never drop below this weight during the alternating optimization, so
 # a connected aggregate stays connected.
@@ -39,7 +46,7 @@ class MultiViewSet:
         n = views[0].n
         for i, v in enumerate(views):
             if not isinstance(v, ViewGraph):
-                raise TypeError(f"view {i} is not a ViewGraph")
+                raise InvalidView(f"view {i} is not a ViewGraph")
             if v.n != n:
                 raise DimensionError(f"view {i} has {v.n} vertices, expected {n}")
         self.views = views
@@ -77,17 +84,16 @@ class MultiViewSet:
         cold.
 
         Raises:
+            IsolatedVertex: the view has a zero-degree vertex.
             DegenerateViewSpectrum: the sum is below 1e-12 (disconnected view).
         """
         key = (index, k)
         if key not in self._eigsum_cache:
             g = self.views[index]
-            d = g.weights.sum(axis=1)
-            bad = np.flatnonzero(d <= 0.0)
-            if bad.size:
-                raise IsolatedVertex(int(bad[0]), detail=f" in view {index}")
-            lap = np.diag(d) - g.weights
-            values = generalized_eigvals(lap, d)
+            try:
+                values = generalized_eigvals(laplacian(g).matrix, degree(g))
+            except IsolatedVertex as exc:
+                raise IsolatedVertex(exc.index, detail=f" in view {index}") from exc
             s = float(values[1:k].sum())
             if s < 1e-12:
                 raise DegenerateViewSpectrum(index)
@@ -106,9 +112,9 @@ class WeightVector:
         if a.ndim != 1:
             raise DimensionError("weights must be a 1-d vector")
         if float(a.min(initial=0.0)) < 0.0:
-            raise ValueError("weights must be nonnegative")
+            raise InvalidWeightVector("weights must be nonnegative")
         if abs(float(a.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {a.sum()!r}")
+            raise InvalidWeightVector(f"weights must sum to 1, got {a.sum()!r}")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from mvspectral.cli import main
+from mvspectral import METHODS
+from mvspectral.cli import build_parser, main
 
 
 def run_cli(args):
@@ -161,6 +163,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert err.splitlines() == ["error: k=117 exceeds the n=116 vertices"]
+
+    def test_method_choices_are_the_method_table(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for name, sub in commands.choices.items():
+            method = next(action for action in sub._actions if action.dest == "method")
+            assert tuple(method.choices) == METHODS, name
 
     def test_bad_flag_is_config_error(self):
         with pytest.raises(SystemExit) as info:

@@ -115,10 +115,6 @@ class TestConsistencyExperiment:
         serial = consistency_experiment(views, cfg)
         again = consistency_experiment(views, cfg)
         assert serial.dice_values == again.dice_values
-        threaded_cfg = ExperimentConfig(method="mvsc", k=4, group_sizes=(2, 3), trials=3,
-                                        num_seeds=4, rng_seed=7, workers=3)
-        threaded = consistency_experiment(views, threaded_cfg)
-        assert serial.dice_values == threaded.dice_values
 
     def test_insufficient_views(self, planted_small):
         views, _ = planted_small
@@ -265,3 +261,25 @@ class TestRunPipeline:
         assert emb.method == "jdl"
         emb, weights = compute_embedding(views, "aasc", truth.k)
         assert abs(weights.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [
+    lambda views: compute_embedding(views, "pca", 4),
+    lambda views: eigengap_report(views, "pca", k_max=4),
+    lambda views: ExperimentConfig(method="pca").validate(views.m),
+    lambda views: timing_experiment(views, ["mvsc", "pca"], k=4, group_sizes=[2], trials=1),
+    lambda views: run_pipeline(views, ExperimentConfig(method="pca", k=4, num_seeds=2)),
+], ids=["compute_embedding", "eigengap_report", "validate", "timing_experiment",
+        "run_pipeline"])
+def test_unknown_method_is_config_error(planted_small, monkeypatch, entry):
+    views, _ = planted_small
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached before the method check")
+
+    for name in ("embed", "mvsc_weights", "mvscw_weights", "aasc_weights",
+                 "joint_diagonalize"):
+        monkeypatch.setattr(experiments, name, no_solve)
+    with pytest.raises(InvalidSpec, match="unknown method 'pca'") as info:
+        entry(views)
+    assert info.value.exit_code == 4
