@@ -3,7 +3,8 @@
 Subcommands: ingest, synth, embed, cluster, eigengap, consistency, timing.
 Results are emitted as deterministic JSON (sorted keys) to --output or
 stdout.  Exit codes: 0 success, 2 input/parse error, 3 numerical failure,
-4 configuration error.
+4 configuration error.  Each subcommand accepts only the flags its handler
+reads; any other flag, or an abbreviated one, is a usage error (exit 4).
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from .synth import SyntheticSpec, synth_views
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors use the configuration exit code."""
+    """Argument parser whose usage errors use the configuration exit code.
+
+    Prefixes of long flags are not accepted, so a flag a subcommand does not
+    take cannot be read as a longer one it does (``--k`` as ``--k-max``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -65,58 +73,66 @@ def _emit(payload, output) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--k", type=int, default=5, help="number of clusters")
-    common.add_argument("--method", choices=METHODS, default="mvsc")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--num-seeds", type=int, default=100,
-                        help="k-means restarts per consensus labelling")
-    common.add_argument("--trials", type=int, default=None,
-                        help="repetitions (default: 100 for consistency, 3 for timing)")
-    common.add_argument("--group-sizes", type=_int_list,
-                        default=list(DEFAULT_GROUP_SIZES))
-    common.add_argument("--output", type=Path, default=None,
-                        help="write JSON here instead of stdout")
-    common.add_argument("--row-normalize", action="store_true",
-                        help="normalize embedding rows before k-means")
+# Flags taken by more than one subcommand.
+_SHARED_FLAGS = {
+    "--k": dict(type=int, default=5, help="number of clusters"),
+    "--method": dict(choices=METHODS, default="mvsc"),
+    "--seed": dict(type=int, default=0, help="master RNG seed"),
+    "--num-seeds": dict(type=int, default=100,
+                        help="k-means restarts per consensus labelling"),
+    "--trials": dict(type=int, help="repetitions (default: %(default)s)"),
+    "--group-sizes": dict(type=_int_list, default=list(DEFAULT_GROUP_SIZES)),
+    "--output": dict(type=Path, default=None, help="write JSON here instead of stdout"),
+    "--row-normalize": dict(action="store_true",
+                            help="normalize embedding rows before k-means"),
+}
 
+# Each subcommand takes the shared flags its handler reads and no others.
+_SUBCOMMANDS = {
+    "ingest": ("convert time-series CSVs to adjacency CSVs", ["--output"]),
+    "synth": ("generate a planted-partition view family", ["--seed", "--output"]),
+    "embed": ("compute a group-wise embedding", ["--method", "--k", "--output"]),
+    "cluster": ("embed plus consensus k-means labelling",
+                ["--method", "--k", "--seed", "--num-seeds", "--row-normalize", "--output"]),
+    "eigengap": ("report the leading spectral values and gap ratios",
+                 ["--method", "--output"]),
+    "consistency": ("Dice agreement across disjoint view subsets", list(_SHARED_FLAGS)),
+    "timing": ("embedding wall-clock benchmark",
+               ["--k", "--trials", "--group-sizes", "--output"]),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mvspectral",
                      description="Group-wise spectral clustering of multi-view graphs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parsers = {}
+    for name, (help_text, shared) in _SUBCOMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+    parsers["consistency"].set_defaults(trials=100)
+    parsers["timing"].set_defaults(trials=3)
 
-    p_ingest = sub.add_parser("ingest", parents=[common],
-                              help="convert time-series CSVs to adjacency CSVs")
-    p_ingest.add_argument("inputs", nargs="+", type=Path)
-    p_ingest.add_argument("--outdir", type=Path, required=True)
+    p = parsers["ingest"]
+    p.add_argument("inputs", nargs="+", type=Path)
+    p.add_argument("--outdir", type=Path, required=True)
 
-    p_synth = sub.add_parser("synth", parents=[common],
-                             help="generate a planted-partition view family")
-    p_synth.add_argument("--n", type=int, default=116)
-    p_synth.add_argument("--k-true", type=int, default=5)
-    p_synth.add_argument("--m", type=int, default=20)
-    p_synth.add_argument("--intra", type=_float_pair, default=(1.0, 0.2),
-                         metavar="MEAN,SD")
-    p_synth.add_argument("--inter", type=_float_pair, default=(0.2, 0.2),
-                         metavar="MEAN,SD")
-    p_synth.add_argument("--block-sizes", type=_int_list, default=None)
-    p_synth.add_argument("--outdir", type=Path, required=True)
+    p = parsers["synth"]
+    p.add_argument("--n", type=int, default=116)
+    p.add_argument("--k-true", type=int, default=5)
+    p.add_argument("--m", type=int, default=20)
+    p.add_argument("--intra", type=_float_pair, default=(1.0, 0.2), metavar="MEAN,SD")
+    p.add_argument("--inter", type=_float_pair, default=(0.2, 0.2), metavar="MEAN,SD")
+    p.add_argument("--block-sizes", type=_int_list, default=None)
+    p.add_argument("--outdir", type=Path, required=True)
 
-    for name, help_text in (
-        ("embed", "compute a group-wise embedding"),
-        ("cluster", "embed plus consensus k-means labelling"),
-        ("eigengap", "report the leading spectral values and gap ratios"),
-        ("consistency", "Dice agreement across disjoint view subsets"),
-        ("timing", "embedding wall-clock benchmark"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--manifest", type=Path, required=True)
-        if name == "eigengap":
-            p.add_argument("--k-max", type=int, default=10)
-        if name == "timing":
-            p.add_argument("--methods", default="mvsc,mvscw,aasc,jdl",
-                           help="comma-separated method list")
+    for name in ("embed", "cluster", "eigengap", "consistency", "timing"):
+        parsers[name].add_argument("--manifest", type=Path, required=True)
+    parsers["eigengap"].add_argument("--k-max", type=int, default=10)
+    parsers["timing"].add_argument("--methods", default="mvsc,mvscw,aasc,jdl",
+                                   help="comma-separated method list")
     return parser
 
 
@@ -185,7 +201,7 @@ def _cmd_consistency(args) -> None:
     views, _ = load_views(args.manifest)
     cfg = ExperimentConfig(
         method=args.method, k=args.k, group_sizes=tuple(args.group_sizes),
-        trials=args.trials if args.trials is not None else 100,
+        trials=args.trials,
         num_seeds=args.num_seeds, rng_seed=args.seed,
         row_normalize=args.row_normalize,
     )
@@ -195,8 +211,7 @@ def _cmd_consistency(args) -> None:
 def _cmd_timing(args) -> None:
     views, _ = load_views(args.manifest)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    result = timing_experiment(views, methods, args.k, args.group_sizes,
-                               trials=args.trials if args.trials is not None else 3)
+    result = timing_experiment(views, methods, args.k, args.group_sizes, trials=args.trials)
     _emit(result, args.output)
 
 

@@ -143,8 +143,11 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
         scores = np.sort(jd.mean_diagonal)
         values = scores[1:1 + k_max]
     else:
-        w, _ = _AGGREGATION[method](set_, weight_k if weight_k is not None else k_max + 1)
-        values = embed(set_, w, k_max + 1).eigenvalues
+        weight_k = k_max + 1 if weight_k is None else weight_k
+        w, emb = _AGGREGATION[method](set_, weight_k)
+        if emb is None or weight_k != k_max + 1:
+            emb = embed(set_, w, k_max + 1)
+        values = emb.eigenvalues
     ratios = [float(values[i + 1] / values[i]) for i in range(len(values) - 1)]
     suggested = (int(np.argmax(ratios)) + 2) if ratios else 2
     return EigengapReport(

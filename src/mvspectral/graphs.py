@@ -152,6 +152,11 @@ def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
         raise DimensionError(f"need at least 2 regions, got {n}")
     if not np.all(np.isfinite(ts)):
         raise InvalidTimeSeries("time series contains non-finite values")
+    # Pearson r is unchanged by positive column scaling.  Scaling each column
+    # by a power of two is exact and brings it into (-1, 1), so the moments
+    # below cannot overflow.
+    _, exponents = np.frexp(np.abs(ts).max(axis=0))
+    ts = np.ldexp(ts, -exponents)
     stds = ts.std(axis=0)
     flat = np.flatnonzero(stds <= 0.0)
     if flat.size:

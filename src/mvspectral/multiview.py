@@ -54,7 +54,6 @@ class MultiViewSet:
         self.m = len(views)
         self._stack = None
         self._degrees = None
-        self._eigsum_cache: dict[tuple[int, int], float] = {}
 
     @property
     def stack(self) -> np.ndarray:
@@ -80,25 +79,19 @@ class MultiViewSet:
     def view_eigsum(self, index: int, k: int) -> float:
         """Sum of view ``index``'s smallest k-1 nontrivial generalized eigenvalues.
 
-        Cached per (view, k); the cache lives on the set, so fresh sets start
-        cold.
-
         Raises:
             IsolatedVertex: the view has a zero-degree vertex.
             DegenerateViewSpectrum: the sum is below 1e-12 (disconnected view).
         """
-        key = (index, k)
-        if key not in self._eigsum_cache:
-            g = self.views[index]
-            try:
-                values = generalized_eigvals(laplacian(g).matrix, degree(g))
-            except IsolatedVertex as exc:
-                raise IsolatedVertex(exc.index, detail=f" in view {index}") from exc
-            s = float(values[1:k].sum())
-            if s < 1e-12:
-                raise DegenerateViewSpectrum(index)
-            self._eigsum_cache[key] = s
-        return self._eigsum_cache[key]
+        g = self.views[index]
+        try:
+            values = generalized_eigvals(laplacian(g).matrix, degree(g))
+        except IsolatedVertex as exc:
+            raise IsolatedVertex(exc.index, detail=f" in view {index}") from exc
+        s = float(values[1:k].sum())
+        if s < 1e-12:
+            raise DegenerateViewSpectrum(index)
+        return s
 
 
 @dataclass(frozen=True, eq=False)

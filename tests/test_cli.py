@@ -5,11 +5,21 @@ import numpy as np
 import pytest
 
 from mvspectral import METHODS
-from mvspectral.cli import build_parser, main
+from mvspectral.cli import _COMMANDS, build_parser, main
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def subcommands():
+    action = next(action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
+def option_dests(parser):
+    return {action.dest for action in parser._actions if action.dest != "help"}
 
 
 @pytest.fixture()
@@ -165,11 +175,10 @@ class TestExitCodes:
         assert err.splitlines() == ["error: k=117 exceeds the n=116 vertices"]
 
     def test_method_choices_are_the_method_table(self):
-        commands = next(action for action in build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        for name, sub in commands.choices.items():
-            method = next(action for action in sub._actions if action.dest == "method")
-            assert tuple(method.choices) == METHODS, name
+        for name, sub in subcommands().items():
+            if "method" in option_dests(sub):
+                method = next(action for action in sub._actions if action.dest == "method")
+                assert tuple(method.choices) == METHODS, name
 
     def test_bad_flag_is_config_error(self):
         with pytest.raises(SystemExit) as info:
@@ -181,3 +190,91 @@ class TestExitCodes:
                         "--method", "mvsc", "--k", 3, "--group-sizes", "64",
                         "--trials", 1])
         assert code == 4
+
+
+# Each subcommand's settable values, every one of them read by its handler.
+OPTION_DESTS = {
+    "ingest": {"inputs", "outdir", "output"},
+    "synth": {"n", "k_true", "m", "intra", "inter", "block_sizes", "outdir", "seed",
+              "output"},
+    "embed": {"manifest", "method", "k", "output"},
+    "cluster": {"manifest", "method", "k", "seed", "num_seeds", "row_normalize", "output"},
+    "eigengap": {"manifest", "method", "k_max", "output"},
+    "consistency": {"manifest", "method", "k", "seed", "num_seeds", "trials",
+                    "group_sizes", "row_normalize", "output"},
+    "timing": {"manifest", "methods", "k", "trials", "group_sizes", "output"},
+}
+
+
+def valid_argv(command, family, tmp_path):
+    """A call of ``command`` on the planted family that exits 0."""
+    manifest = ["--manifest", family / "manifest.json"]
+    out = ["--output", tmp_path / f"{command}.json"]
+    if command == "ingest":
+        series = tmp_path / "subject.csv"
+        series.write_text("\n".join(
+            ",".join(repr(float(v)) for v in row)
+            for row in np.random.default_rng(2).normal(size=(12, 4))) + "\n")
+        return ["ingest", series, "--outdir", tmp_path / "adj", *out]
+    return {
+        "synth": ["synth", "--n", 12, "--k-true", 2, "--m", 2, "--seed", 1,
+                  "--outdir", tmp_path / "fam", *out],
+        "embed": ["embed", *manifest, "--method", "mvsc", "--k", 3, *out],
+        "cluster": ["cluster", *manifest, "--method", "mvsc", "--k", 3, "--seed", 2,
+                    "--num-seeds", 3, "--row-normalize", *out],
+        "eigengap": ["eigengap", *manifest, "--method", "mvsc", "--k-max", 4, *out],
+        "consistency": ["consistency", *manifest, "--method", "mvsc", "--k", 3,
+                        "--seed", 2, "--num-seeds", 3, "--trials", 1,
+                        "--group-sizes", "2", "--row-normalize", *out],
+        "timing": ["timing", *manifest, "--methods", "mvsc", "--k", 3, "--trials", 1,
+                   "--group-sizes", "2", *out],
+    }[command]
+
+
+class _ReadTracker:
+    """Stands in for the parsed namespace and records which values are read."""
+
+    def __init__(self, values):
+        self._values = values
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
+
+
+class TestSubcommandFlags:
+    def test_option_dests(self):
+        found = {name: option_dests(sub) for name, sub in subcommands().items()}
+        assert found == OPTION_DESTS
+        assert sum(len(dests) for dests in found.values()) == 42
+
+    @pytest.mark.parametrize("command", sorted(OPTION_DESTS))
+    def test_every_option_is_read(self, command, planted_dir, tmp_path):
+        args = build_parser().parse_args([str(a) for a in valid_argv(command, planted_dir,
+                                                                    tmp_path)])
+        tracker = _ReadTracker(vars(args))
+        _COMMANDS[command](tracker)
+        assert tracker.read == OPTION_DESTS[command]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("timing", ["--method", "mvsc"]),
+        ("eigengap", ["--k", "3"]),
+        ("synth", ["--k", "3"]),
+        ("embed", ["--seed", "1"]),
+        ("cluster", ["--trials", "2"]),
+        ("ingest", ["--method", "mvsc"]),
+        ("cluster", ["--num-s", "3"]),
+        ("cluster", ["--row"]),
+    ])
+    def test_unread_or_abbreviated_flag_is_config_error(self, command, extra, planted_dir,
+                                                        tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(valid_argv(command, planted_dir, tmp_path) + extra)
+        assert info.value.code == 4
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+    def test_trials_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["consistency", "--manifest", "m.json"]).trials == 100
+        assert parser.parse_args(["timing", "--manifest", "m.json"]).trials == 3

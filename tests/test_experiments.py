@@ -15,13 +15,14 @@ from mvspectral import (
     degree,
     dice,
     eigengap_report,
+    embed,
     generalized_eig,
     laplacian,
     run_pipeline,
     synth_views,
     timing_experiment,
 )
-from mvspectral import experiments
+from mvspectral import experiments, multiview
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,19 @@ class TestEigengapReport:
         for method in ("mvscw", "aasc"):
             report = eigengap_report(views, method, k_max=6, weight_k=truth.k)
             assert report.suggested_k == truth.k
+
+    def test_aasc_reuses_its_final_embedding(self, monkeypatch):
+        views, _ = synth_views(SyntheticSpec(n=40, k_true=3, m=6, rng_seed=5))
+        calls = []
+        solve = multiview.generalized_eig
+        monkeypatch.setattr(multiview, "generalized_eig",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        w, _, _ = multiview.aasc_weights(views, 4)
+        weight_solves = len(calls)
+        calls.clear()
+        report = eigengap_report(views, "aasc", k_max=3)
+        assert len(calls) == weight_solves
+        assert np.array_equal(report.values, embed(views, w, 4).eigenvalues)
 
 
 class TestConsistencyExperiment:

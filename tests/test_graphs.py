@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ class TestGraphFromTimeseries:
         g1 = graph_from_timeseries(series)
         g2 = graph_from_timeseries(3.7 * series + 1.2)
         np.testing.assert_allclose(g1.weights, g2.weights, atol=1e-10)
+
+    def test_power_of_two_rescaling_is_exact(self):
+        rng = np.random.default_rng(8)
+        series = rng.normal(size=(30, 6))
+        g1 = graph_from_timeseries(series)
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            assert np.array_equal(graph_from_timeseries(scale * series).weights, g1.weights)
+
+    def test_huge_column_does_not_overflow(self):
+        # The moments of the first column overflowed np.corrcoef, its
+        # correlations came out 0, and vertex 0 looked isolated.
+        series = np.array([[1e200, 1.0, 0.3],
+                           [-1e200, -1.0, 0.1],
+                           [3e200, 3.0, -0.2],
+                           [2.0, 0.5, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = graph_from_timeseries(series)
+        reference = graph_from_timeseries(series * np.array([1e-200, 1.0, 1.0]))
+        np.testing.assert_allclose(g.weights, reference.weights, rtol=1e-12)
+        assert g.weights[0, 1] > 1.0
 
 
 class TestDegree:

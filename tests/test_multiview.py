@@ -279,10 +279,3 @@ class TestMultiViewSet:
         sub = set_.subset([3, 1])
         assert sub.views[0] is views[3]
         assert sub.views[1] is views[1]
-
-    def test_eigsum_cache_reused(self):
-        rng = np.random.default_rng(23)
-        set_ = MultiViewSet([random_view(rng, 6) for _ in range(2)])
-        first = set_.view_eigsum(0, 3)
-        assert set_.view_eigsum(0, 3) == first
-        assert (0, 3) in set_._eigsum_cache
