@@ -5,6 +5,11 @@ consensus labelling runs many seeds, aligns every run to the first by the
 overlap-maximizing cluster permutation, and takes the per-vertex mode.  All
 comparisons between labellings go through that same permutation matching, so
 the reported Dice agreement is invariant to label renumbering.
+
+There is one Lloyd kernel, and it runs any number of seeds in lockstep: each
+seed keeps its own k-means++ draws and stopping point, all seeds share each
+vectorized iteration, and every seed's labels and objective equal those of
+an independent single-seed run.  ``kmeans`` is that kernel with one seed.
 """
 
 from __future__ import annotations
@@ -68,17 +73,40 @@ def _k_of(x, labels: np.ndarray) -> int:
     return int(labels.max(initial=1))
 
 
+def _points(points, k: int) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise TooFewPoints(f"points must be 2-d, got shape {pts.shape}")
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise TooFewPoints(f"need 1 <= k <= {n}, got {k}")
+    return pts
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray):
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(d2, axis=1)
+    """Nearest-centroid ids and squared distances for stacked (S, k, d) centroids.
+
+    One centroid at a time, so temporaries stay at (S, n, d); the result
+    equals the all-pairs expression sum((p - c) ** 2) term for term.
+    """
+    d2 = np.empty((centroids.shape[0], points.shape[0], centroids.shape[1]))
+    for j in range(centroids.shape[1]):
+        d2[:, :, j] = ((points - centroids[:, j, None, :]) ** 2).sum(axis=-1)
+    assign = np.argmin(d2, axis=2)
     return assign, d2
+
+
+def _objective(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[int(rng.integers(n))]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    # An overflow here is reported as NonFiniteDistances below, not as a warning.
+    with np.errstate(over="ignore"):
+        closest = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = float(closest.sum())
         if not np.isfinite(total):
@@ -92,6 +120,83 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _update_with_repair(points: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> None:
+    """One seed's centroid update, in place, moving a point into each empty cluster.
+
+    Clusters are visited in order, and a repair changes the memberships seen
+    by the clusters after it.
+    """
+    for j in range(centroids.shape[0]):
+        members = assign == j
+        if members.any():
+            centroids[j] = points[members].mean(axis=0)
+        else:
+            own = ((points - centroids[assign]) ** 2).sum(axis=1)
+            far = int(np.argmax(own))
+            centroids[j] = points[far]
+            assign[far] = j
+
+
+def _cluster_sums(points: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Coordinate sums per (seed, cluster) bin, added as ``points[members].mean`` adds them.
+
+    NumPy adds the rows of a multi-column selection in point order, which
+    ``bincount`` repeats; a single column it adds pairwise, which only the sum
+    of a contiguous slice repeats.  Either way the centroids are the floats a
+    per-seed mean gives.
+    """
+    flat = rows.ravel()
+    values = np.broadcast_to(points[None, :, :], rows.shape + points.shape[1:])
+    if points.shape[1] == 1:
+        ordered = values[:, :, 0].ravel()[np.argsort(flat, kind="stable")]
+        ends = np.cumsum(sizes)
+        return np.array([ordered[a:b].sum() for a, b in zip(ends - sizes, ends)])[:, None]
+    sums = np.empty((sizes.size, points.shape[1]))
+    for c in range(points.shape[1]):
+        sums[:, c] = np.bincount(flat, weights=values[:, :, c].ravel(), minlength=sizes.size)
+    return sums
+
+
+def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None = None):
+    """k-means++ and Lloyd iterations for every seed in lockstep.
+
+    Each seed draws its initial centroids from its own ``default_rng(seed)``
+    and leaves the active set at its own assignment fixpoint or after
+    ``max_iter`` iterations, so every row of the result equals an
+    independent single-seed run.  With one seed, ``track`` receives its
+    objective after initialization and after each iteration.
+
+    Returns:
+        (0-based assignments of shape (S, n), objectives of shape (S,))
+    """
+    d = points.shape[1]
+    centroids = np.stack([_kmeanspp_init(points, k, np.random.default_rng(s)) for s in seeds])
+    assign, d2 = _nearest(points, centroids)
+    objective = _objective(d2, assign)
+    if track is not None:
+        track.append(float(objective[0]))
+    active = np.arange(len(seeds))
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        current = assign[active]
+        rows = np.arange(active.size)[:, None] * k + current
+        sizes = np.bincount(rows.ravel(), minlength=active.size * k).reshape(active.size, k)
+        sums = _cluster_sums(points, rows, sizes.ravel()).reshape(active.size, k, d)
+        moved = sums / np.maximum(sizes, 1)[:, :, None]
+        for r in np.flatnonzero((sizes == 0).any(axis=1)):
+            moved[r] = centroids[active[r]]
+            _update_with_repair(points, current[r], moved[r])
+        centroids[active] = moved
+        new_assign, d2 = _nearest(points, moved)
+        objective[active] = _objective(d2, new_assign)
+        if track is not None:
+            track.append(float(objective[0]))
+        assign[active] = new_assign
+        active = active[~(new_assign == current).all(axis=1)]
+    return assign, objective
+
+
 def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
            track: list | None = None):
     """Seeded k-means++ initialization followed by Lloyd iterations.
@@ -99,7 +204,8 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     Stops at an assignment fixpoint or after ``max_iter`` iterations; empty
     clusters are repaired by moving the point farthest from its current
     centroid.  Pass a list as ``track`` to collect the per-iteration
-    objective (sum of squared distances), which is nonincreasing.
+    objective (sum of squared distances), which is nonincreasing.  This is
+    the lockstep kernel of ``consensus_labelling`` run with one seed.
 
     Returns:
         (assignment with ids 1..k, final objective)
@@ -108,36 +214,8 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
         TooFewPoints: fewer points than clusters.
         NonFiniteDistances: squared distances overflow, or a point is NaN.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise TooFewPoints(f"points must be 2-d, got shape {pts.shape}")
-    n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise TooFewPoints(f"need 1 <= k <= {n}, got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(pts, k, rng)
-    assign, d2 = _nearest(pts, centroids)
-    objective = float(d2[np.arange(n), assign].sum())
-    if track is not None:
-        track.append(objective)
-    for _ in range(max_iter):
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centroids[j] = pts[members].mean(axis=0)
-            else:
-                own = ((pts - centroids[assign]) ** 2).sum(axis=1)
-                far = int(np.argmax(own))
-                centroids[j] = pts[far]
-                assign[far] = j
-        new_assign, d2 = _nearest(pts, centroids)
-        objective = float(d2[np.arange(n), new_assign].sum())
-        if track is not None:
-            track.append(objective)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    return assign + 1, objective
+    assign, objective = _lloyd(_points(points, k), k, [seed], max_iter, track)
+    return assign[0] + 1, float(objective[0])
 
 
 def contingency_table(a, b) -> ContingencyTable:
@@ -163,13 +241,23 @@ def best_label_permutation(counts: np.ndarray):
 
     Returns the lexicographically smallest permutation ``perm`` (1-based:
     ``perm[i-1]`` is the column matched to row i) among all maximizers,
-    together with the total agreement.  Ties are resolved by fixing rows in
-    order to the smallest column that still admits an optimal completion.
+    together with the total agreement.  When every row has a strict maximum
+    and no two rows share its column, matching each row to that column is
+    the only maximizer (any other permutation loses in some row and gains in
+    none), and it is returned without an assignment solve.  Otherwise ties
+    are resolved by fixing rows in order to the smallest column that still
+    admits an optimal completion.
     """
     counts = np.asarray(counts, dtype=np.int64)
     k = counts.shape[0]
     if counts.shape != (k, k):
         raise ShapeMismatch(f"contingency table must be square, got {counts.shape}")
+    if k:
+        top = counts.argmax(axis=1)
+        peak = counts[np.arange(k), top]
+        strict = np.count_nonzero(counts == peak[:, None], axis=1) == 1
+        if strict.all() and np.unique(top).size == k:
+            return top + 1, int(peak.sum())
     best_total = _max_agreement(counts)
     perm = np.zeros(k, dtype=np.int64)
     remaining = list(range(k))
@@ -216,10 +304,13 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
                         row_normalize: bool = False) -> Labelling:
     """Mode labelling over many aligned k-means runs.
 
-    k-means runs with seeds ``base_seed .. base_seed + num_seeds - 1``; each
-    run is aligned to the first by permutation matching before the
-    per-vertex vote.  Ties go to the lowest cluster id.  Cluster ids that
-    win no vertex are reported in the metadata, not repaired.
+    k-means runs with seeds ``base_seed .. base_seed + num_seeds - 1``, all
+    in lockstep, with labels identical to ``kmeans`` run once per seed; each
+    run is aligned to the first by ``best_label_permutation`` before the
+    per-vertex vote (no assignment solve when every row of the contingency
+    table has a strict maximum in its own column).  Ties go to the lowest
+    cluster id.  Cluster ids that win no vertex are reported in the
+    metadata, not repaired.
     """
     if num_seeds < 1:
         raise TooFewPoints(f"need at least one seed, got {num_seeds}")
@@ -227,18 +318,16 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     if row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0, points / np.where(norms > 0, norms, 1.0), points)
-    n = points.shape[0]
-    votes = np.zeros((n, k), dtype=np.int64)
-    reference = None
-    for r in range(num_seeds):
-        labels, _ = kmeans(points, k, seed=base_seed + r)
-        if reference is None:
-            reference = labels
-            aligned = labels
-        else:
-            perm = best_label_permutation(contingency_table(labels, reference).counts)[0]
-            aligned = perm[labels - 1]
-        votes[np.arange(n), aligned - 1] += 1
+    runs, _ = _lloyd(_points(points, k), k, range(base_seed, base_seed + num_seeds),
+                     KMEANS_MAX_ITER)
+    n = runs.shape[1]
+    # tables[r - 1][i][j] counts vertices in cluster i of run r and j of run 0.
+    cells = (np.arange(num_seeds - 1)[:, None] * k + runs[1:]) * k + runs[0]
+    tables = np.bincount(cells.ravel(), minlength=(num_seeds - 1) * k * k)
+    aligned = runs.copy()
+    for r, table in enumerate(tables.reshape(num_seeds - 1, k, k), start=1):
+        aligned[r] = best_label_permutation(table)[0][runs[r]] - 1
+    votes = np.bincount((np.arange(n) * k + aligned).ravel(), minlength=n * k).reshape(n, k)
     assignment = np.argmax(votes, axis=1) + 1
     support = votes[np.arange(n), assignment - 1] / num_seeds
     empty = tuple(sorted(set(range(1, k + 1)) - set(assignment.tolist())))

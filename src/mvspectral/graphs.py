@@ -69,20 +69,23 @@ class ViewGraph:
             raise DimensionError("graph needs at least 2 vertices")
         if not np.all(np.isfinite(w)):
             raise InvalidWeights("affinity matrix contains non-finite entries")
-        scale = float(np.abs(w).max())
-        asym = float(np.abs(w - w.T).max())
-        if scale > 0 and asym > ASYMMETRY_WARN * scale:
-            warnings.warn(
-                f"asymmetry {asym:.3e} exceeds {ASYMMETRY_WARN:.0e} of scale; "
-                "symmetrizing",
-                stacklevel=2,
-            )
-        w = 0.5 * (w + w.T)
-        if float(w.min()) < 0.0:
-            raise InvalidWeights("affinity matrix has negative entries")
-        np.fill_diagonal(w, 0.0)
-        if not np.all(np.isfinite(w.sum(axis=1))):
-            raise InvalidWeights("affinity matrix degrees overflow float64")
+        # Sums past float64 become inf and are reported by the checks below,
+        # so numpy's overflow warnings would only repeat them.
+        with np.errstate(over="ignore"):
+            scale = float(np.abs(w).max())
+            asym = float(np.abs(w - w.T).max())
+            if scale > 0 and asym > ASYMMETRY_WARN * scale:
+                warnings.warn(
+                    f"asymmetry {asym:.3e} exceeds {ASYMMETRY_WARN:.0e} of scale; "
+                    "symmetrizing",
+                    stacklevel=2,
+                )
+            w = 0.5 * (w + w.T)
+            if float(w.min()) < 0.0:
+                raise InvalidWeights("affinity matrix has negative entries")
+            np.fill_diagonal(w, 0.0)
+            if not np.all(np.isfinite(w.sum(axis=1))):
+                raise InvalidWeights("affinity matrix degrees overflow float64")
         w.setflags(write=False)
         return cls(n=w.shape[0], weights=w, label=label)
 

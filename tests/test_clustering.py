@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import mvspectral.clustering as clustering
 from mvspectral import (
     Embedding,
     Labelling,
@@ -27,6 +28,79 @@ def exhaustive_best_permutation(counts):
             best_total = total
             best_perm = cols
     return np.asarray(best_perm) + 1, best_total
+
+
+def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track=None):
+    """Single-seed k-means++ and Lloyd loop, one cluster at a time (the scalar oracle)."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[int(rng.integers(n))]
+    closest = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(closest.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        centroids[j] = pts[idx]
+        np.minimum(closest, ((pts - centroids[j]) ** 2).sum(axis=1), out=closest)
+
+    def nearest():
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        return np.argmin(d2, axis=1), d2
+
+    assign, d2 = nearest()
+    objective = float(d2[np.arange(n), assign].sum())
+    if track is not None:
+        track.append(objective)
+    for _ in range(max_iter):
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centroids[j] = pts[members].mean(axis=0)
+            else:
+                own = ((pts - centroids[assign]) ** 2).sum(axis=1)
+                far = int(np.argmax(own))
+                centroids[j] = pts[far]
+                assign[far] = j
+        new_assign, d2 = nearest()
+        objective = float(d2[np.arange(n), new_assign].sum())
+        if track is not None:
+            track.append(objective)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return assign + 1, objective
+
+
+def reference_consensus(points, k, num_seeds, base_seed):
+    """Per-seed reference runs aligned to the first by exhaustive matching, then voted."""
+    runs = [reference_kmeans(points, k, base_seed + r)[0] for r in range(num_seeds)]
+    votes = np.zeros((len(points), k), dtype=np.int64)
+    for labels in runs:
+        counts = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counts, (labels - 1, runs[0] - 1), 1)
+        perm, _ = exhaustive_best_permutation(counts)
+        votes[np.arange(len(points)), perm[labels - 1] - 1] += 1
+    assignment = np.argmax(votes, axis=1) + 1
+    return assignment, votes[np.arange(len(points)), assignment - 1] / num_seeds
+
+
+def lockstep_families():
+    """(points, k, max_iter): planted blobs in 2-d and 1-d, 16 copies of 7
+    distinct points with k=8 (an empty cluster to repair on every iteration),
+    and a max_iter=2 cap that stops seeds before their fixpoint."""
+    rng = np.random.default_rng(20)
+    blobs, _ = blob_points(rng, [(0, 0), (6, 0), (0, 6), (6, 6)], 12, sigma=1.5)
+    line, _ = blob_points(rng, [(0,), (3,), (7,)], 15, sigma=1.2)
+    distinct = rng.normal(size=(7, 3))
+    duplicates = distinct[rng.integers(0, 7, size=16)]
+    noisy = rng.normal(size=(60, 4))
+    return {
+        "blobs": (blobs, 4, clustering.KMEANS_MAX_ITER),
+        "blobs-1d": (line, 3, clustering.KMEANS_MAX_ITER),
+        "duplicates": (duplicates, 8, clustering.KMEANS_MAX_ITER),
+        "max-iter-2": (noisy, 6, 2),
+    }
 
 
 def blob_points(rng, centers, per_blob, sigma):
@@ -87,6 +161,50 @@ class TestKmeans:
         assert set(labels.tolist()) == {1, 2, 3}
 
 
+class TestLockstepKernel:
+    SEEDS = range(50)
+
+    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates", "max-iter-2"])
+    def test_kmeans_equals_scalar_reference(self, family):
+        pts, k, max_iter = lockstep_families()[family]
+        for seed in self.SEEDS:
+            track, expected_track = [], []
+            labels, objective = kmeans(pts, k, seed, max_iter=max_iter, track=track)
+            expected, expected_objective = reference_kmeans(pts, k, seed, max_iter,
+                                                            expected_track)
+            np.testing.assert_array_equal(labels, expected)
+            assert objective == expected_objective
+            assert track == expected_track
+
+    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates", "max-iter-2"])
+    def test_lockstep_rows_equal_independent_runs(self, family, monkeypatch):
+        repairs = []
+        repair = clustering._update_with_repair
+        monkeypatch.setattr(clustering, "_update_with_repair",
+                            lambda *args: repairs.append(1) or repair(*args))
+        pts, k, max_iter = lockstep_families()[family]
+        runs, objectives = clustering._lloyd(pts, k, self.SEEDS, max_iter)
+        stops = set()
+        for seed in self.SEEDS:
+            track = []
+            expected, expected_objective = reference_kmeans(pts, k, seed, max_iter, track)
+            stops.add(len(track))
+            np.testing.assert_array_equal(runs[seed] + 1, expected)
+            assert objectives[seed] == expected_objective
+        if family == "duplicates":
+            assert repairs, "no seed met an empty cluster"
+        elif family != "max-iter-2":
+            assert len(stops) > 1, "every seed stopped at the same iteration"
+
+    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates"])
+    def test_consensus_equals_reference_consensus(self, family):
+        pts, k, _ = lockstep_families()[family]
+        lab = consensus_labelling(pts, k, num_seeds=50, base_seed=3)
+        assignment, support = reference_consensus(pts, k, 50, 3)
+        np.testing.assert_array_equal(lab.assignment, assignment)
+        np.testing.assert_array_equal(lab.mode_support, support)
+
+
 class TestMatchPermutation:
     def test_cyclic_shift_recovered(self):
         a = np.array([1, 1, 2, 2, 3, 3])
@@ -120,6 +238,50 @@ class TestMatchPermutation:
         perm, total = best_label_permutation(counts)
         np.testing.assert_array_equal(perm, [1, 2, 3])
         assert total == 3
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = clustering.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return real(cost)
+
+        monkeypatch.setattr(clustering, "linear_sum_assignment", counting)
+        return calls
+
+    def test_fast_path_on_permuted_diagonal_dominant_tables(self, solves):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            k = int(rng.integers(2, 7))
+            counts = rng.integers(0, 5, size=(k, k))
+            counts[np.arange(k), rng.permutation(k)] += 10
+            perm, total = best_label_permutation(counts)
+            oracle_perm, oracle_total = exhaustive_best_permutation(counts)
+            np.testing.assert_array_equal(perm, oracle_perm)
+            assert total == oracle_total
+        assert solves == []
+
+    @pytest.mark.parametrize("counts", [
+        [[2, 2, 0], [0, 5, 1], [1, 0, 4]],   # row 1's maximum is tied
+        [[6, 1, 0], [5, 2, 3], [0, 1, 4]],   # rows 1 and 2 share their argmax
+        [[3, 3], [3, 3]],
+        [[0, 0], [0, 0]],
+    ])
+    def test_ties_and_shared_argmax_fall_back(self, solves, counts):
+        counts = np.asarray(counts)
+        perm, total = best_label_permutation(counts)
+        oracle_perm, oracle_total = exhaustive_best_permutation(counts)
+        np.testing.assert_array_equal(perm, oracle_perm)
+        assert total == oracle_total
+        assert solves
+
+    def test_single_cluster(self, solves):
+        perm, total = best_label_permutation(np.array([[7]]))
+        np.testing.assert_array_equal(perm, [1])
+        assert total == 7
+        assert solves == []
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -217,6 +379,16 @@ class TestConsensusLabelling:
         lab = consensus_labelling(pts, k=3, num_seeds=30, base_seed=2)
         present = set(lab.assignment.tolist())
         assert set(lab.empty_clusters) == set(range(1, 4)) - present
+
+    def test_runs_whose_highest_label_differs(self):
+        # Two distinct points and k=4: some runs end with labels 1..2, others
+        # 1..3, and each is still aligned on the full k x k table.
+        a, b = [-1.6, -2.9], [-0.4, 1.2]
+        pts = np.array([a, a, b, a, b, b, a, b, b, b])
+        lab = consensus_labelling(pts, k=4, num_seeds=10, base_seed=0)
+        assignment, support = reference_consensus(pts, 4, 10, 0)
+        np.testing.assert_array_equal(lab.assignment, assignment)
+        np.testing.assert_array_equal(lab.mode_support, support)
 
     def test_row_normalize_path(self):
         coords = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 3.0], [0.0, 9.0]])

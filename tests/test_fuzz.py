@@ -8,13 +8,18 @@ failure, exactly one ``error:`` line on stderr.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mvspectral
 from mvspectral import METHODS, MVSpectralError, ParseError
 from mvspectral.cli import main
 from mvspectral.io import TYPE_ADJACENCY, TYPE_TIMESERIES, load_views, read_matrix_csv
@@ -29,12 +34,16 @@ numbers = st.one_of(
 )
 specials = st.sampled_from(["nan", "NaN", "inf", "-inf", "", "x", "1e400", "-0.0", "1,"])
 
-# Inputs from this domain that once ended in a traceback: entries whose
-# symmetrized sum or row sums overflow, and subnormal degrees whose embedding
-# overflows the k-means++ distances.
+# Inputs from this domain that once ended in a traceback or printed numpy
+# overflow warnings before the error line: entries whose symmetrized sum or
+# row sums overflow, and subnormal degrees whose embedding overflows the
+# k-means++ distances.
 OVERFLOW_PAIR = "0,1.7e308\n1.7e308,0\n"
 OVERFLOW_DEGREES = "0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n"
+OVERFLOW_ROW_SUMS = "\n".join(",".join("0" if i == j else "6e307" for j in range(4))
+                              for i in range(4)) + "\n"
 SUBNORMAL_DEGREES = "0,1e-320\n1e-320,0\n"
+PINNED = (OVERFLOW_PAIR, OVERFLOW_DEGREES, OVERFLOW_ROW_SUMS, SUBNORMAL_DEGREES)
 
 
 @st.composite
@@ -102,6 +111,7 @@ def test_load_views_returns_views_or_typed_error(texts, kind):
        method=st.sampled_from(METHODS), k=st.integers(1, 4))
 @example(texts=[OVERFLOW_PAIR], kind=TYPE_ADJACENCY, method="mvsc", k=2)
 @example(texts=[OVERFLOW_DEGREES], kind=TYPE_ADJACENCY, method="mvsc", k=2)
+@example(texts=[OVERFLOW_ROW_SUMS], kind=TYPE_ADJACENCY, method="mvsc", k=2)
 @example(texts=[SUBNORMAL_DEGREES], kind=TYPE_ADJACENCY, method="mvsc", k=2)
 def test_cluster_exit_code_and_one_error_line(texts, kind, method, k):
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,3 +127,20 @@ def test_cluster_exit_code_and_one_error_line(texts, kind, method, k):
         assert len(json.loads(out.getvalue())["assignment"]) > 0
     else:
         assert len(errors) == 1
+
+
+@pytest.mark.parametrize("text", PINNED, ids=["pair", "degrees", "row-sums", "subnormal"])
+def test_pinned_inputs_print_only_the_error_line(tmp_path, text):
+    # A separate process, because pytest captures the warnings that the
+    # command line would print to stderr.
+    manifest = write_family(tmp_path, [text], TYPE_ADJACENCY)
+    src = str(Path(mvspectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "mvspectral.cli", "cluster", "--manifest", str(manifest),
+         "--method", "mvsc", "--k", "2", "--num-seeds", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode in (2, 3)
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
