@@ -46,9 +46,7 @@ from .graphs import (
 from .eigen import (
     EigenPairs,
     Embedding,
-    GeneralizedEigenSolution,
     generalized_eig,
-    generalized_eigvals,
     smallest_nontrivial,
     sym_eig,
 )
@@ -70,7 +68,6 @@ from .jdl import (
     off_cost,
 )
 from .clustering import (
-    ContingencyTable,
     Labelling,
     best_label_permutation,
     consensus_labelling,

@@ -54,13 +54,6 @@ class Labelling:
         return self.assignment.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """counts[i][j] = number of vertices labelled i+1 in A and j+1 in B."""
-
-    counts: np.ndarray
-
-
 def _labels_of(x) -> np.ndarray:
     if hasattr(x, "assignment"):
         return np.asarray(x.assignment, dtype=np.int64)
@@ -218,8 +211,12 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     return assign[0] + 1, float(objective[0])
 
 
-def contingency_table(a, b) -> ContingencyTable:
-    """Cross-tabulate two labellings over the same vertices."""
+def contingency_table(a, b) -> np.ndarray:
+    """Cross-tabulate two labellings over the same vertices.
+
+    Returns the int64 k x k array whose entry [i, j] counts the vertices
+    labelled i+1 in ``a`` and j+1 in ``b``.
+    """
     la, lb = _labels_of(a), _labels_of(b)
     if la.shape != lb.shape:
         raise ShapeMismatch(f"labellings have lengths {la.shape[0]} and {lb.shape[0]}")
@@ -228,7 +225,7 @@ def contingency_table(a, b) -> ContingencyTable:
         raise ShapeMismatch(f"labellings have k={ka} and k={kb}")
     counts = np.zeros((ka, ka), dtype=np.int64)
     np.add.at(counts, (la - 1, lb - 1), 1)
-    return ContingencyTable(counts=counts)
+    return counts
 
 
 def _max_agreement(counts: np.ndarray) -> int:
@@ -280,7 +277,7 @@ def match_permutation(a, b) -> np.ndarray:
     Raises:
         ShapeMismatch: different lengths or cluster counts.
     """
-    perm, _ = best_label_permutation(contingency_table(a, b).counts)
+    perm, _ = best_label_permutation(contingency_table(a, b))
     return perm
 
 
@@ -292,7 +289,7 @@ def dice(a, b) -> float:
     partitions of the same vertices this equals the fraction of agreeing
     labels.
     """
-    counts = contingency_table(a, b).counts
+    counts = contingency_table(a, b)
     perm, agreement = best_label_permutation(counts)
     sizes_a = counts.sum(axis=1)
     sizes_b = counts.sum(axis=0)

@@ -2,9 +2,11 @@
 
 The generalized problem L x = lambda D x with diagonal positive D is reduced
 to an ordinary symmetric problem on D^(-1/2) L D^(-1/2) and back-substituted,
-so the returned eigenvectors are D-orthonormal.  Column signs follow a fixed
-convention (largest-magnitude entry positive, ties broken by lowest index) to
-make outputs reproducible.
+so the returned eigenvectors are D-orthonormal.  ``generalized_eig`` is the
+one solve of that pencil: given ``count`` it asks LAPACK for the smallest
+``count`` eigenpairs only, which is all an embedding of k clusters uses.
+Column signs follow a fixed convention (largest-magnitude entry positive,
+ties broken by lowest index) to make outputs reproducible.
 """
 
 from __future__ import annotations
@@ -19,21 +21,14 @@ from .graphs import COMBINATORIAL, Laplacian, degree_scaled
 
 SYMMETRY_RTOL = 1e-8
 
-# Eigenvalues below ZERO_TOL_FACTOR * lambda_max count as "trivial" zeros.
+# Every eigenvalue of a Laplacian pencil (L, D) lies in [0, 2]; eigenvalues
+# below ZERO_TOL_FACTOR times that bound count as "trivial" zeros.
 ZERO_TOL_FACTOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPairs:
-    """Full spectrum of a symmetric matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralizedEigenSolution:
-    """Spectrum of (L, D); eigenvector columns satisfy x_i^T D x_j = delta_ij."""
+    """Eigenvalues ascending, eigenvectors as columns (D-orthonormal for (L, D))."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -92,11 +87,16 @@ def sym_eig(a) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def generalized_eig(lap: Laplacian | np.ndarray, degrees) -> GeneralizedEigenSolution:
-    """Solve L x = lambda D x for a combinatorial Laplacian and degree vector.
+def generalized_eig(lap: Laplacian | np.ndarray, degrees,
+                    count: int | None = None) -> EigenPairs:
+    """Smallest ``count`` eigenpairs of L x = lambda D x (all n when None).
+
+    ``lap`` is a combinatorial Laplacian and ``degrees`` its degree vector.
+    Only the requested eigenpairs are computed.
 
     Raises:
         InvalidKind: ``lap`` is a Laplacian of another kind.
+        DimensionError: sizes disagree, or ``count`` is outside 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
     if isinstance(lap, Laplacian):
@@ -106,48 +106,52 @@ def generalized_eig(lap: Laplacian | np.ndarray, degrees) -> GeneralizedEigenSol
     else:
         mat = np.asarray(lap, dtype=np.float64)
     d = np.asarray(degrees, dtype=np.float64)
-    if mat.shape[0] != d.shape[0]:
-        raise DimensionError(f"Laplacian is {mat.shape}, degrees have length {d.shape[0]}")
-    pairs = sym_eig(degree_scaled(mat, d))
-    vectors = fix_column_signs(pairs.vectors / np.sqrt(d)[:, None])
+    n = d.shape[0]
+    if mat.shape[0] != n:
+        raise DimensionError(f"Laplacian is {mat.shape}, degrees have length {n}")
+    if count is not None and not 1 <= count <= n:
+        raise DimensionError(f"count must be in 1..{n}, got {count}")
+    subset = None if count is None else [0, count - 1]
+    try:
+        values, reduced = scipy.linalg.eigh(degree_scaled(mat, d), subset_by_index=subset)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        raise NoConvergence(str(exc)) from exc
+    vectors = fix_column_signs(reduced / np.sqrt(d)[:, None])
+    values.setflags(write=False)
     vectors.setflags(write=False)
-    return GeneralizedEigenSolution(values=pairs.values, vectors=vectors)
-
-
-def generalized_eigvals(lap_matrix: np.ndarray, degrees) -> np.ndarray:
-    """Eigenvalues only of (L, D); cheaper when vectors are not needed.
-
-    Raises:
-        IsolatedVertex: some degree is not strictly positive.
-    """
-    return scipy.linalg.eigh(degree_scaled(np.asarray(lap_matrix, dtype=np.float64), degrees),
-                             eigvals_only=True)
+    return EigenPairs(values=values, vectors=vectors)
 
 
 def zero_multiplicity(values: np.ndarray) -> int:
-    """Count eigenvalues that are zero up to ZERO_TOL_FACTOR * lambda_max."""
-    vmax = float(values[-1])
-    tol = ZERO_TOL_FACTOR * max(vmax, 0.0)
-    return int(np.count_nonzero(values < tol)) if vmax > 0 else values.shape[0]
+    """Count eigenvalues of a Laplacian pencil below ZERO_TOL_FACTOR * 2.
+
+    The tolerance scales with the bound 2 of the whole spectrum, not with the
+    largest value given, so a partial spectrum is judged like a full one.
+    """
+    return int(np.count_nonzero(values < ZERO_TOL_FACTOR * 2.0))
 
 
-def smallest_nontrivial(sol: GeneralizedEigenSolution, count: int) -> Embedding:
+def smallest_nontrivial(sol: EigenPairs, count: int) -> Embedding:
     """Select the eigenvectors for the smallest ``count`` nontrivial eigenvalues.
 
-    The single zero eigenvalue (constant direction) is skipped.  A zero
-    multiplicity other than one means the graph is disconnected and is
-    surfaced as an error rather than silently handled.
+    ``sol`` holds the smallest eigenpairs of (L, D), at least ``count + 1``
+    of them.  The single zero eigenvalue (constant direction) is skipped.  A
+    zero multiplicity other than one means the graph is disconnected and is
+    surfaced as an error rather than silently handled; when every solved
+    eigenvalue is zero, the message says there may be more.
 
     Raises:
         DisconnectedGraph: the zero eigenvalue is not simple.
-        DimensionError: count outside 1..n-1.
+        DimensionError: count outside 1..s-1 for s solved pairs (s <= n).
     """
-    n = sol.values.shape[0]
-    if not 1 <= count <= n - 1:
-        raise DimensionError(f"count must be in 1..{n - 1}, got {count}")
+    n, solved = sol.vectors.shape
+    if not 1 <= count <= solved - 1:
+        raise DimensionError(f"count must be in 1..{solved - 1}, got {count}")
     zeros = zero_multiplicity(sol.values)
     if zeros != 1:
-        raise DisconnectedGraph(zeros)
+        partial = zeros == solved < n
+        raise DisconnectedGraph(
+            zeros, detail=f" or more (all {solved} solved are zero)" if partial else "")
     coords = np.array(sol.vectors[:, 1:1 + count])
     values = np.array(sol.values[1:1 + count])
     coords.setflags(write=False)

@@ -67,12 +67,9 @@ class ExperimentConfig:
 
     def validate(self, available_views: int) -> None:
         check_method(self.method)
-        if self.trials < 1:
-            raise InvalidSpec(f"need at least one trial, got {self.trials}")
         if self.k < 2:
             raise InvalidSpec(f"need k >= 2, got {self.k}")
-        if not self.group_sizes:
-            raise InvalidSpec("need at least one group size")
+        _check_grid(self.group_sizes, self.trials)
         biggest = 2 * max(self.group_sizes)
         if biggest > available_views:
             raise InsufficientViews(
@@ -89,6 +86,16 @@ def check_method(method: str) -> None:
     """
     if method not in METHODS:
         raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _check_grid(group_sizes, trials: int) -> None:
+    """Raise InvalidSpec for no trial, no group size or a size below 1."""
+    if trials < 1:
+        raise InvalidSpec(f"need at least one trial, got {trials}")
+    if not group_sizes:
+        raise InvalidSpec("need at least one group size")
+    if min(group_sizes) < 1:
+        raise InvalidSpec(f"group sizes must be at least 1, got {min(group_sizes)}")
 
 
 def compute_embedding(set_: MultiViewSet, method: str, k: int):
@@ -319,8 +326,14 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
     through ctypes, and restored to its previous count afterwards.  When
     neither route works the cells run unpinned, a ``RuntimeWarning`` is
     emitted, and the result records ``blas_threads_pinned=False``.
+
+    Raises:
+        InvalidSpec: fewer than one trial, no group size, a size below 1, or
+            an unknown method.
+        InsufficientViews: a group size exceeds the number of views.
     """
     group_sizes = list(group_sizes)
+    _check_grid(group_sizes, trials)
     if max(group_sizes) > set_.m:
         raise InsufficientViews(
             f"group size {max(group_sizes)} exceeds available views ({set_.m})"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Embedding, generalized_eig, generalized_eigvals, smallest_nontrivial
+from .eigen import Embedding, generalized_eig, smallest_nontrivial
 from .errors import (
     DegenerateViewSpectrum,
     DimensionError,
@@ -80,12 +80,13 @@ class MultiViewSet:
         """Sum of view ``index``'s smallest k-1 nontrivial generalized eigenvalues.
 
         Raises:
+            DimensionError: ``k`` exceeds the vertex count.
             IsolatedVertex: the view has a zero-degree vertex.
             DegenerateViewSpectrum: the sum is below 1e-12 (disconnected view).
         """
         g = self.views[index]
         try:
-            values = generalized_eigvals(laplacian(g).matrix, degree(g))
+            values = generalized_eig(laplacian(g), degree(g), k).values
         except IsolatedVertex as exc:
             raise IsolatedVertex(exc.index, detail=f" in view {index}") from exc
         s = float(values[1:k].sum())
@@ -167,7 +168,7 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
 def _embed_raw(set_: MultiViewSet, alpha: np.ndarray, k: int,
                method: str | None = None) -> Embedding:
     agg = _aggregate_raw(set_, alpha)
-    sol = generalized_eig(agg.laplacian, agg.degrees)
+    sol = generalized_eig(agg.laplacian, agg.degrees, k)
     emb = smallest_nontrivial(sol, k - 1)
     return Embedding(coords=emb.coords, eigenvalues=emb.eigenvalues, method=method)
 

@@ -191,6 +191,20 @@ class TestExitCodes:
                         "--trials", 1])
         assert code == 4
 
+    @pytest.mark.parametrize("command, extra", [
+        ("timing", ["--group-sizes", ","]),
+        ("timing", ["--trials", 0]),
+        ("timing", ["--group-sizes", -1]),
+        ("consistency", ["--group-sizes", 0]),
+    ], ids=["timing-no-sizes", "timing-zero-trials", "timing-negative-size",
+            "consistency-zero-size"])
+    def test_bad_size_is_config_error(self, command, extra, planted_dir, capsys):
+        code = run_cli([command, "--manifest", planted_dir / "manifest.json", "--k", 3,
+                        "--trials", 1, *extra])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 # Each subcommand's settable values, every one of them read by its handler.
 OPTION_DESTS = {

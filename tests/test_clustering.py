@@ -211,7 +211,7 @@ class TestMatchPermutation:
         b = ((a % 3) + 1)  # 1->2, 2->3, 3->1
         perm = match_permutation(a, b)
         np.testing.assert_array_equal(perm, [2, 3, 1])
-        counts = contingency_table(a, b).counts
+        counts = contingency_table(a, b)
         assert counts[np.arange(3), perm - 1].sum() == 6
 
     def test_hand_table(self):
@@ -324,7 +324,7 @@ class TestDice:
         rng = np.random.default_rng(9)
         a = rng.integers(1, 4, size=30)
         b = rng.integers(1, 4, size=30)
-        counts = contingency_table(a, b).counts
+        counts = contingency_table(a, b)
         perm, agreement = best_label_permutation(counts)
         assert dice(a, b) == pytest.approx(agreement / 30.0, rel=1e-15)
 

@@ -12,7 +12,6 @@ from mvspectral import (
     ViewGraph,
     degree,
     generalized_eig,
-    generalized_eigvals,
     laplacian,
     ncut_cost,
     smallest_nontrivial,
@@ -145,9 +144,29 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(8)
         for _ in range(50):
             g = random_connected(rng, int(rng.integers(3, 12)))
-            values = generalized_eigvals(laplacian(g).matrix, degree(g))
+            values = generalized_eig(laplacian(g), degree(g)).values
             assert values[0] >= -1e-9
             assert values[-1] <= 2.0 + 1e-9
+
+    def test_partial_equals_leading_columns_of_full(self):
+        rng = np.random.default_rng(14)
+        for n in range(3, 13):
+            g = random_connected(rng, n)
+            lap, d = laplacian(g), degree(g)
+            full = generalized_eig(lap, d)
+            for count in range(1, n + 1):
+                part = generalized_eig(lap, d, count)
+                assert part.values.shape == (count,)
+                assert part.vectors.shape == (n, count)
+                np.testing.assert_allclose(part.values, full.values[:count], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(part.vectors, full.vectors[:, :count],
+                                           rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [0, 6])
+    def test_count_outside_one_to_n(self, count):
+        g = random_connected(np.random.default_rng(15), 5)
+        with pytest.raises(DimensionError):
+            generalized_eig(laplacian(g), degree(g), count)
 
     def test_isolated_vertex(self):
         w = np.zeros((3, 3))

@@ -5,6 +5,7 @@ import scipy.linalg
 from mvspectral import (
     DegenerateViewSpectrum,
     DimensionError,
+    DisconnectedGraph,
     LengthMismatch,
     MultiViewSet,
     Partition,
@@ -189,6 +190,12 @@ class TestMvscwWeights:
         with pytest.raises(DegenerateViewSpectrum):
             mvscw_weights(MultiViewSet([graph_of(w)]), k=2)
 
+    def test_k_above_n(self):
+        rng = np.random.default_rng(16)
+        set_ = MultiViewSet([random_view(rng, 6) for _ in range(2)])
+        with pytest.raises(DimensionError):
+            mvscw_weights(set_, k=7)
+
 
 class TestEmbed:
     def test_single_view_equals_direct_pipeline(self):
@@ -226,6 +233,23 @@ class TestEmbed:
         set_ = MultiViewSet([random_view(rng, 5)])
         with pytest.raises(DimensionError):
             embed(set_, mvsc_weights(1), k=1)
+
+    def test_k_above_n(self):
+        rng = np.random.default_rng(17)
+        set_ = MultiViewSet([random_view(rng, 5)])
+        with pytest.raises(DimensionError):
+            embed(set_, mvsc_weights(1), k=6)
+
+    def test_partial_solve_does_not_understate_components(self):
+        w = np.zeros((9, 9))
+        for base in (0, 3, 6):
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                w[base + a, base + b] = w[base + b, base + a] = 1.0
+        with pytest.raises(DisconnectedGraph) as info:
+            embed(MultiViewSet([graph_of(w)]), mvsc_weights(1), k=2)
+        assert info.value.exit_code == 3
+        assert str(info.value) == ("graph is disconnected: 2 zero eigenvalues or more "
+                                   "(all 2 solved are zero)")
 
 
 class TestAascWeights:
