@@ -51,7 +51,6 @@ from .eigen import (
     sym_eig,
 )
 from .multiview import (
-    AggregateGraph,
     MultiViewSet,
     WeightVector,
     aasc_weights,

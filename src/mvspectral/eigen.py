@@ -87,24 +87,20 @@ def sym_eig(a) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def generalized_eig(lap: Laplacian | np.ndarray, degrees,
-                    count: int | None = None) -> EigenPairs:
+def generalized_eig(lap: Laplacian, degrees, count: int | None = None) -> EigenPairs:
     """Smallest ``count`` eigenpairs of L x = lambda D x (all n when None).
 
-    ``lap`` is a combinatorial Laplacian and ``degrees`` its degree vector.
+    ``lap`` is ``laplacian(g)`` of a graph and ``degrees`` is ``degree(g)``.
     Only the requested eigenpairs are computed.
 
     Raises:
-        InvalidKind: ``lap`` is a Laplacian of another kind.
+        InvalidKind: ``lap`` is not a combinatorial ``Laplacian``.
         DimensionError: sizes disagree, or ``count`` is outside 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
-    if isinstance(lap, Laplacian):
-        if lap.kind != COMBINATORIAL:
-            raise InvalidKind("generalized_eig expects the combinatorial Laplacian")
-        mat = lap.matrix
-    else:
-        mat = np.asarray(lap, dtype=np.float64)
+    if not isinstance(lap, Laplacian) or lap.kind != COMBINATORIAL:
+        raise InvalidKind("generalized_eig expects the combinatorial Laplacian")
+    mat = lap.matrix
     d = np.asarray(degrees, dtype=np.float64)
     n = d.shape[0]
     if mat.shape[0] != n:

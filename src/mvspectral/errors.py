@@ -120,7 +120,7 @@ class InvalidWeightVector(MVSpectralError, ValueError):
 
 
 class InvalidKind(MVSpectralError, ValueError):
-    """A Laplacian kind is unknown, or not the one an operation needs.
+    """A Laplacian kind is unknown, or an input is not the Laplacian an operation needs.
 
     Also a ``ValueError``, so callers that catch that keep working.
     """

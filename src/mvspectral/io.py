@@ -186,7 +186,7 @@ def write_matrix_csv(matrix, path, header=None) -> None:
 def to_jsonable(obj):
     """Recursively convert arrays/dataclasses into JSON-serializable values."""
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -1,8 +1,10 @@
 """Multi-view aggregation and the three view-weighting schemes.
 
 A collection of graphs sharing a vertex set is clustered through one
-aggregate affinity matrix, the convex combination of the per-view matrices
-under a weight vector on the simplex.  Weights come from one of:
+aggregate graph, a ``ViewGraph`` whose affinity matrix is the convex
+combination of the per-view matrices under a weight vector on the simplex.
+The aggregate is embedded exactly as a single view is, through its
+combinatorial Laplacian and the pencil solve.  Weights come from one of:
 
 * ``mvsc_weights``  - uniform 1/m,
 * ``mvscw_weights`` - inverse of each view's relaxed partition cost (the sum
@@ -32,6 +34,13 @@ from .graphs import ViewGraph, degree, laplacian
 # Views never drop below this weight during the alternating optimization, so
 # a connected aggregate stays connected.
 WEIGHT_FLOOR = 1e-6
+
+# The alternating optimization stops after MAX_ROUNDS rounds, or once a round
+# changes the objective by at most ROUND_RTOL relative to its value.  Each
+# golden-section search narrows its weight bracket to LINE_SEARCH_TOL.
+MAX_ROUNDS = 50
+ROUND_RTOL = 1e-6
+LINE_SEARCH_TOL = 1e-4
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -76,24 +85,6 @@ class MultiViewSet:
     def subset(self, indices) -> "MultiViewSet":
         return MultiViewSet([self.views[i] for i in indices])
 
-    def view_eigsum(self, index: int, k: int) -> float:
-        """Sum of view ``index``'s smallest k-1 nontrivial generalized eigenvalues.
-
-        Raises:
-            DimensionError: ``k`` exceeds the vertex count.
-            IsolatedVertex: the view has a zero-degree vertex.
-            DegenerateViewSpectrum: the sum is below 1e-12 (disconnected view).
-        """
-        g = self.views[index]
-        try:
-            values = generalized_eig(laplacian(g), degree(g), k).values
-        except IsolatedVertex as exc:
-            raise IsolatedVertex(exc.index, detail=f" in view {index}") from exc
-        s = float(values[1:k].sum())
-        if s < 1e-12:
-            raise DegenerateViewSpectrum(index)
-        return s
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -116,32 +107,21 @@ class WeightVector:
         return self.alpha.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AggregateGraph:
-    """Weighted sum of the views with its degree vector and Laplacian."""
-
-    weights: np.ndarray
-    degrees: np.ndarray
-    laplacian: np.ndarray
-
-
-def _aggregate_raw(set_: MultiViewSet, alpha: np.ndarray) -> AggregateGraph:
-    w = np.tensordot(alpha, set_.stack, axes=1)
-    w = 0.5 * (w + w.T)
-    d = w.sum(axis=1)
-    lap = np.diag(d) - w
-    return AggregateGraph(weights=w, degrees=d, laplacian=lap)
-
-
-def aggregate(set_: MultiViewSet, w: WeightVector) -> AggregateGraph:
-    """Convex combination of the view affinity matrices.
+def aggregate(set_: MultiViewSet, w: WeightVector) -> ViewGraph:
+    """Convex combination of the view affinity matrices, as a read-only view.
 
     Raises:
         LengthMismatch: weight vector length differs from the view count.
     """
     if len(w) != set_.m:
         raise LengthMismatch(f"{len(w)} weights for {set_.m} views")
-    return _aggregate_raw(set_, w.alpha)
+    weights = np.tensordot(w.alpha, set_.stack, axes=1)
+    weights = 0.5 * (weights + weights.T)
+    weights.setflags(write=False)
+    # A convex combination of validated views is itself symmetric, finite,
+    # nonnegative and zero on the diagonal, so from_weights would only
+    # repeat its checks.
+    return ViewGraph(n=set_.n, weights=weights)
 
 
 def mvsc_weights(m: int) -> WeightVector:
@@ -157,20 +137,25 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
     The relaxed cost of view j is the sum of its smallest k-1 nontrivial
     generalized eigenvalues; weights are the normalized inverses, so views
     that partition well dominate the aggregate.
+
+    Raises:
+        DimensionError: ``k`` is below 2 or exceeds the vertex count.
+        IsolatedVertex: some view has a zero-degree vertex.
+        DegenerateViewSpectrum: some view's sum is below 1e-12 (disconnected).
     """
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    sums = np.array([set_.view_eigsum(i, k) for i in range(set_.m)])
+    sums = np.empty(set_.m)
+    for i, g in enumerate(set_.views):
+        try:
+            values = generalized_eig(laplacian(g), degree(g), k).values
+        except IsolatedVertex as exc:
+            raise IsolatedVertex(exc.index, detail=f" in view {i}") from exc
+        sums[i] = values[1:k].sum()
+        if sums[i] < 1e-12:
+            raise DegenerateViewSpectrum(i)
     inv = 1.0 / sums
     return WeightVector(inv / inv.sum())
-
-
-def _embed_raw(set_: MultiViewSet, alpha: np.ndarray, k: int,
-               method: str | None = None) -> Embedding:
-    agg = _aggregate_raw(set_, alpha)
-    sol = generalized_eig(agg.laplacian, agg.degrees, k)
-    emb = smallest_nontrivial(sol, k - 1)
-    return Embedding(coords=emb.coords, eigenvalues=emb.eigenvalues, method=method)
 
 
 def embed(set_: MultiViewSet, w: WeightVector, k: int,
@@ -179,13 +164,14 @@ def embed(set_: MultiViewSet, w: WeightVector, k: int,
     generalized eigenvectors.
 
     Raises:
+        LengthMismatch: weight vector length differs from the view count.
         DisconnectedGraph, IsolatedVertex: aggregate not usable.
     """
-    if len(w) != set_.m:
-        raise LengthMismatch(f"{len(w)} weights for {set_.m} views")
+    g = aggregate(set_, w)
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    return _embed_raw(set_, w.alpha, k, method=method)
+    emb = smallest_nontrivial(generalized_eig(laplacian(g), degree(g), k), k - 1)
+    return Embedding(coords=emb.coords, eigenvalues=emb.eigenvalues, method=method)
 
 
 def _projected_forms(set_: MultiViewSet, coords: np.ndarray):
@@ -233,16 +219,18 @@ def _golden_min(fun, lo: float, hi: float, xtol: float):
     return best_x, best_f
 
 
-def aasc_weights(set_: MultiViewSet, k: int, max_outer: int = 50,
-                 tol: float = 1e-6, line_search_tol: float = 1e-4):
+def aasc_weights(set_: MultiViewSet, k: int):
     """Alternating optimization of view weights and embedding.
 
     Starting from uniform weights, each round (a) recomputes the embedding of
     the current aggregate and (b) sweeps the weight coordinates, each varied
     by golden-section search against uniform redistribution of the remainder,
     accepting only strict improvements of the aggregate trace objective.
-    Stops when the objective change falls below ``tol`` (relative) or after
-    ``max_outer`` rounds; the recorded objective sequence is nonincreasing.
+    Stops when a round changes the objective by at most ``ROUND_RTOL``
+    (relative) or after ``MAX_ROUNDS`` rounds; the recorded objective
+    sequence is nonincreasing.  Each round's embedding is ``embed`` of the
+    current weights, so the returned one equals ``embed(set_, weights, k,
+    method="aasc")``.
 
     Returns:
         (weights, embedding, objective trace as a list of floats)
@@ -257,8 +245,8 @@ def aasc_weights(set_: MultiViewSet, k: int, max_outer: int = 50,
     hi = 1.0 - (m - 1) * WEIGHT_FLOOR
     trace: list[float] = []
     prev_outer = None
-    for _ in range(max_outer):
-        emb = _embed_raw(set_, alpha, k)
+    for _ in range(MAX_ROUNDS):
+        emb = embed(set_, WeightVector(alpha), k)
         w_forms, d_forms = _projected_forms(set_, emb.coords)
         current = _trace_objective(alpha, w_forms, d_forms)
         trace.append(current)
@@ -271,17 +259,19 @@ def aasc_weights(set_: MultiViewSet, k: int, max_outer: int = 50,
 
             t_best, f_best = _golden_min(
                 lambda t: _trace_objective(candidate(t), w_forms, d_forms),
-                lo, hi, line_search_tol,
+                lo, hi, LINE_SEARCH_TOL,
             )
             if f_best < current - 1e-14 * max(1.0, abs(current)):
                 alpha = candidate(t_best)
                 current = f_best
                 trace.append(current)
 
-        if prev_outer is not None and abs(prev_outer - current) <= tol * max(current, 1e-300):
+        if (prev_outer is not None
+                and abs(prev_outer - current) <= ROUND_RTOL * max(current, 1e-300)):
             break
         prev_outer = current
 
-    final = _embed_raw(set_, alpha, k, method="aasc")
+    weights = WeightVector(alpha)
+    final = embed(set_, weights, k, method="aasc")
     trace.append(float(final.eigenvalues.sum()))
-    return WeightVector(alpha), final, trace
+    return weights, final, trace

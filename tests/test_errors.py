@@ -41,12 +41,14 @@ def series_with_nan():
     (lambda: laplacian(triangle(), kind="random-walk"), InvalidKind, ValueError, 4),
     (lambda: generalized_eig(laplacian(triangle(), kind=SYMMETRIC_NORMALIZED),
                              degree(triangle())), InvalidKind, ValueError, 4),
+    (lambda: generalized_eig(laplacian(triangle()).matrix, degree(triangle())),
+     InvalidKind, ValueError, 4),
     (lambda: MultiViewSet([triangle(), np.ones((3, 3))]), InvalidView, TypeError, 2),
     (lambda: WeightVector(np.array([1.5, -0.5])), InvalidWeightVector, ValueError, 4),
     (lambda: WeightVector(np.array([0.3, 0.3])), InvalidWeightVector, ValueError, 4),
     (lambda: off_cost([np.eye(3)], 2.0 * np.eye(3)), NotOrthogonal, ValueError, 2),
-], ids=["timeseries-nonfinite", "laplacian-kind", "generalized-eig-kind", "view-type",
-        "weights-negative", "weights-sum", "basis-not-orthogonal"])
+], ids=["timeseries-nonfinite", "laplacian-kind", "generalized-eig-kind",
+        "generalized-eig-array", "view-type", "weights-negative", "weights-sum", "basis-not-orthogonal"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()

@@ -196,3 +196,9 @@ class TestRunReport:
         a = dump_json({"b": 1, "a": [1, 2]})
         b = dump_json({"a": [1, 2], "b": 1})
         assert a == b
+
+    def test_arrays_serialize_like_their_lists(self):
+        payload = {"m": np.arange(6.0).reshape(2, 3) / 7.0, "i": np.array([1, 2], dtype=np.int64)}
+        plain = {"m": (np.arange(6.0).reshape(2, 3) / 7.0).tolist(), "i": [1, 2]}
+        assert dump_json(payload) == dump_json(plain)
+        assert dump_json(np.array(2.5)) == "2.5\n"

@@ -6,6 +6,7 @@ from mvspectral import (
     DegenerateViewSpectrum,
     DimensionError,
     DisconnectedGraph,
+    IsolatedVertex,
     LengthMismatch,
     MultiViewSet,
     Partition,
@@ -95,9 +96,9 @@ class TestAggregate:
         agg = aggregate(MultiViewSet(views), WeightVector(alpha))
         expected = sum(a * v.weights for a, v in zip(alpha, views))
         np.testing.assert_allclose(agg.weights, expected, rtol=1e-14)
-        np.testing.assert_allclose(agg.degrees, expected.sum(axis=1), rtol=1e-14)
-        np.testing.assert_allclose(agg.laplacian, np.diag(expected.sum(axis=1)) - expected,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(degree(agg), expected.sum(axis=1), rtol=1e-14)
+        np.testing.assert_allclose(laplacian(agg).matrix,
+                                   np.diag(expected.sum(axis=1)) - expected, rtol=1e-14)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(3)
@@ -105,13 +106,23 @@ class TestAggregate:
         with pytest.raises(LengthMismatch):
             aggregate(set_, WeightVector(np.array([0.5, 0.5])))
 
+    def test_returns_read_only_view_graph(self):
+        rng = np.random.default_rng(23)
+        views = [random_view(rng, 5) for _ in range(2)]
+        agg = aggregate(MultiViewSet(views), WeightVector(np.array([0.4, 0.6])))
+        assert isinstance(agg, ViewGraph)
+        assert agg.n == 5
+        assert not agg.weights.flags.writeable
+        with pytest.raises(ValueError):
+            agg.weights[0, 1] = 1.0
+
     def test_degree_linearity(self):
         rng = np.random.default_rng(4)
         views = [random_view(rng, 5) for _ in range(3)]
         alpha = np.array([0.1, 0.6, 0.3])
         agg = aggregate(MultiViewSet(views), WeightVector(alpha))
         expected = sum(a * degree(v) for a, v in zip(alpha, views))
-        np.testing.assert_allclose(agg.degrees, expected, rtol=1e-10)
+        np.testing.assert_allclose(degree(agg), expected, rtol=1e-10)
 
 
 class TestCutVolumeLinearity:
@@ -196,6 +207,16 @@ class TestMvscwWeights:
         with pytest.raises(DimensionError):
             mvscw_weights(set_, k=7)
 
+    def test_isolated_vertex_names_its_view(self):
+        rng = np.random.default_rng(24)
+        w = random_view(rng, 5).weights.copy()
+        w[3, :] = w[:, 3] = 0.0
+        set_ = MultiViewSet([random_view(rng, 5), graph_of(w)])
+        with pytest.raises(IsolatedVertex, match="in view 1") as info:
+            mvscw_weights(set_, k=2)
+        assert info.value.exit_code == 3
+        assert str(info.value) == "vertex 3 has zero degree in view 1"
+
 
 class TestEmbed:
     def test_single_view_equals_direct_pipeline(self):
@@ -224,7 +245,7 @@ class TestEmbed:
         agg = aggregate(set_, w)
         y = emb.coords
         trace = np.trace(
-            y.T @ agg.laplacian @ y @ np.linalg.inv(y.T @ (agg.degrees[:, None] * y))
+            y.T @ laplacian(agg).matrix @ y @ np.linalg.inv(y.T @ (degree(agg)[:, None] * y))
         )
         assert trace == pytest.approx(float(emb.eigenvalues.sum()), rel=1e-8)
 
@@ -283,6 +304,16 @@ class TestAascWeights:
         w, _, _ = aasc_weights(MultiViewSet(views), k=3)
         assert np.all(w.alpha >= 1e-6 - 1e-15)
         assert abs(w.alpha.sum() - 1.0) <= 1e-12
+
+    def test_embedding_equals_embed_of_its_weights(self):
+        rng = np.random.default_rng(25)
+        views = [planted_view(rng, 12, blocks=3)] + [random_view(rng, 12) for _ in range(2)]
+        set_ = MultiViewSet(views)
+        w, emb, _ = aasc_weights(set_, k=3)
+        again = embed(set_, w, k=3, method="aasc")
+        np.testing.assert_array_equal(emb.coords, again.coords)
+        np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
+        assert emb.method == again.method == "aasc"
 
     def test_needs_two_views(self):
         rng = np.random.default_rng(20)
