@@ -6,12 +6,18 @@ CSVs.  A manifest is a JSON list of ``{"path": ..., "type": ...}`` entries
 with paths resolved relative to the manifest location.  Negative adjacency
 entries are zeroed on load and counted, and asymmetric matrices are averaged
 with a warning.
+
+CSV text is parsed by numpy's C reader when it can be, and otherwise by a
+token-by-token scan.  The scan alone defines which files are accepted and
+every ``ParseError`` message; the C reader is used only where it returns the
+values the scan would.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,37 +48,44 @@ def _parse_float(token: str, path, line_no: int) -> float:
         raise ParseError(path, line_no, f"not a number: {token!r}") from None
 
 
-def read_matrix_csv(path):
-    """Read a comma-separated numeric matrix, tolerating one header row.
+def _first_data_line(lines):
+    """Find where numeric rows start, and the header row if there is one.
 
-    Raises:
-        ParseError: unreadable file, a non-numeric or non-finite (``nan``,
-            ``inf``) token, or a ragged row; the line is named.
+    The first line that is neither blank nor a ``#`` comment is a header
+    when any of its comma-separated tokens is not a number to ``float()``.
 
     Returns:
-        (2-d float array, header names or None)
+        (header names or None, index in ``lines`` of the first line to parse)
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(path, detail=str(exc)) from exc
-    rows = []
-    row_lines = []
-    header = None
-    width = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for index, raw in enumerate(lines):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = [t.strip() for t in line.split(",")]
-        if not rows and header is None:
-            try:
-                [float(t) for t in tokens]
-            except ValueError:
-                header = tokens
-                continue
-        values = [_parse_float(t, path, line_no) for t in tokens]
+        try:
+            [float(t) for t in tokens]
+        except ValueError:
+            return tokens, index + 1
+        return None, index
+    return None, len(lines)
+
+
+def _scan_matrix_csv(lines, path):
+    """Parse ``lines`` token by token: the definition of the accepted grammar.
+
+    Blank and ``#`` lines are skipped, tokens are stripped and read by
+    ``float()``, every row must be as wide as the first, and every value
+    must be finite. Each violation raises a ``ParseError`` naming its line.
+    """
+    header, start = _first_data_line(lines)
+    rows = []
+    row_lines = []
+    width = None
+    for line_no, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        values = [_parse_float(t.strip(), path, line_no) for t in line.split(",")]
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -88,6 +101,43 @@ def read_matrix_csv(path):
         raise ParseError(path, row_lines[row],
                          f"non-finite value {rows[row][col]!r} in column {col + 1}")
     return matrix, header
+
+
+def read_matrix_csv(path):
+    """Read a comma-separated numeric matrix, tolerating one header row.
+
+    The rows after the header go first to numpy's C reader (``np.loadtxt``),
+    which takes no comments, so any ``#`` line past the header sends the
+    file down the fallback. Its result is kept only when it is non-empty and
+    all finite. Any other outcome (a token or row it rejects, or no data)
+    falls back to the token-by-token scan, which defines what is accepted
+    and words every error; the C reader only speeds up files that the scan
+    accepts, and gives them the same values.
+
+    Raises:
+        ParseError: unreadable or undecodable file, a non-numeric or
+            non-finite (``nan``, ``inf``) token, or a ragged row; the line
+            is named.
+
+    Returns:
+        (2-d float array, header names or None)
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(path, detail=str(exc)) from exc
+    lines = text.splitlines()
+    header, start = _first_data_line(lines)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(lines[start:], delimiter=",", comments=None, ndmin=2)
+        if matrix.size and np.isfinite(matrix).all():
+            return matrix, header
+    except (ValueError, UserWarning):
+        pass
+    return _scan_matrix_csv(lines, path)
 
 
 def load_adjacency(path, label: str | None = None):
@@ -116,7 +166,7 @@ def read_manifest(path) -> list:
     path = Path(path)
     try:
         entries = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, detail=str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
@@ -124,12 +174,15 @@ def read_manifest(path) -> list:
         raise ParseError(path, detail="manifest must be a non-empty JSON list")
     resolved = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ParseError(path, detail=f"entry {i} must be an object with a 'path'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ParseError(path, detail=f"entry {i} must be an object with a string 'path'")
         kind = entry.get("type", TYPE_ADJACENCY)
         if kind not in (TYPE_ADJACENCY, TYPE_TIMESERIES):
             raise ParseError(path, detail=f"entry {i} has unknown type {kind!r}")
-        resolved.append(((path.parent / entry["path"]).resolve(), kind))
+        try:
+            resolved.append(((path.parent / entry["path"]).resolve(), kind))
+        except ValueError as exc:  # a path with a NUL character
+            raise ParseError(path, detail=f"entry {i} has a bad path: {exc}") from exc
     return resolved
 
 
@@ -174,12 +227,10 @@ def load_views(source):
 
 
 def write_matrix_csv(matrix, path, header=None) -> None:
-    matrix = np.asarray(matrix)
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
+    """Write each value as its shortest round-tripping ``repr``, one row a line."""
+    lines = [",".join(header)] if header else []
+    lines.extend(",".join(map(repr, row))
+                 for row in np.asarray(matrix, dtype=np.float64).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

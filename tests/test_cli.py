@@ -164,6 +164,24 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err and "nan.csv:2" in err
 
+    @pytest.mark.parametrize("csv, manifest, expected", [
+        (b"\xff\xfe\x00\x81,1\n1,0\n", b'[{"path": "v.csv"}]', "can't decode byte 0xff"),
+        (b"", b'[{"path": "v.csv"}]', "v.csv: no numeric rows"),
+        (b"a,b\n", b'[{"path": "v.csv"}]', "v.csv: no numeric rows"),
+        (b"0,1\n1,0\n", b"\xff[]", "can't decode byte 0xff"),
+        (b"0,1\n1,0\n", b'[{"path": 5}]', "entry 0 must be an object with a string 'path'"),
+    ], ids=["undecodable-csv", "empty-csv", "header-only-csv", "undecodable-manifest",
+            "int-path"])
+    def test_bad_file_is_one_input_error_line(self, tmp_path, capsys, csv, manifest, expected):
+        (tmp_path / "v.csv").write_bytes(csv)
+        (tmp_path / "manifest.json").write_bytes(manifest)
+        code = run_cli(["cluster", "--manifest", tmp_path / "manifest.json",
+                        "--method", "mvsc", "--k", 2])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert expected in err
+
     def test_k_above_n_is_config_error(self, tmp_path, capsys):
         family = tmp_path / "n116"
         assert run_cli(["synth", "--n", 116, "--m", 2, "--outdir", family,

@@ -2,7 +2,8 @@
 
 Whatever the CSV text, loading either returns a finite matrix or raises a
 typed error, and the command line ends with a documented exit code and, on
-failure, exactly one ``error:`` line on stderr.
+failure, exactly one ``error:`` line on stderr.  Reading a CSV gives exactly
+what the token-by-token scan gives, whichever parser produced it.
 """
 
 import contextlib
@@ -22,7 +23,13 @@ from hypothesis import strategies as st
 import mvspectral
 from mvspectral import METHODS, MVSpectralError, ParseError
 from mvspectral.cli import main
-from mvspectral.io import TYPE_ADJACENCY, TYPE_TIMESERIES, load_views, read_matrix_csv
+from mvspectral.io import (
+    TYPE_ADJACENCY,
+    TYPE_TIMESERIES,
+    _scan_matrix_csv,
+    load_views,
+    read_matrix_csv,
+)
 
 FUZZ = settings(max_examples=50, deadline=None, database=None)
 
@@ -62,6 +69,46 @@ def csv_texts(draw):
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", "  "])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+odd_tokens = st.sampled_from([
+    "nan", "-inf", "inf", "1e400", "", " ", "x", "1_0", "\u0663", "0x1", "'1'", '"1"',
+    "1 2", "1#", "-0.0", " 7 ", "\t3", "+.5", "1e", "5e-324", "1e-400",
+])
+padding = st.sampled_from(["", " ", "\t", "\u3000"])
+
+
+@st.composite
+def messy_csv_texts(draw):
+    """Mostly well-formed CSV, with the grammar's corners drawn in."""
+    width = draw(st.integers(1, 4))
+    rows = [[draw(numbers) for _ in range(width)] for _ in range(draw(st.integers(0, 4)))]
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, width - 1))] = draw(odd_tokens)
+        if draw(st.integers(0, 9)) == 0:
+            if draw(st.booleans()):
+                row.append("1")
+            else:
+                row.pop()
+    lines = [draw(padding) + ",".join(row) + draw(padding) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.sampled_from(["a", "1", "", "r 2", "#"]))
+                                 for _ in range(width)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# note", " # 1,2", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def outcome(read):
+    """A parse's result as comparable data: bits, shape and header, or the error text."""
+    try:
+        matrix, header = read()
+    except ParseError as exc:
+        return str(exc)
+    return matrix.shape, matrix.view(np.int64).tolist(), header
 
 
 def write_family(root: Path, texts, kind: str) -> Path:
@@ -144,3 +191,38 @@ def test_pinned_inputs_print_only_the_error_line(tmp_path, text):
     assert done.returncode in (2, 3)
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+
+@settings(FUZZ, max_examples=300)
+@given(text=st.one_of(messy_csv_texts(), csv_texts(), st.text(max_size=60)))
+@example(text="a,b\n1,2\n3,4\n")
+@example(text="1,b\n1,2\n")
+@example(text="a,b\n# c\n1,2\n")
+@example(text="# c\n\n  \n1,2\n")
+@example(text="1,2\r\n3,4\r\n")
+@example(text="1,2\r3,4\r")
+@example(text="1,2\x0b3,4\x0c5,6\u20287,8")
+@example(text="1_0,2\n3,4\n")
+@example(text="\u0661,2\n3,4\n")
+@example(text="0x1,2\n")
+@example(text="1,nan\n")
+@example(text="1,inf\n")
+@example(text="1,1e400\n")
+@example(text="1,,2\n")
+@example(text="1,2,\n")
+@example(text="1,2\n3\n")
+@example(text='"1",2\n')
+@example(text="1,2,3\n")
+@example(text="1\n2\n3\n")
+@example(text="")
+@example(text="a,b\n")
+@example(text="1, 2 \n\t3,4\u3000\n")
+@example(text="1,2\n# late comment\n3,4\n")
+@example(text="1,2\n3,4 # trailing\n")
+def test_read_matrix_csv_equals_the_scan(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(text.encode())
+        fast = outcome(lambda: read_matrix_csv(path))
+        scanned = outcome(lambda: _scan_matrix_csv(path.read_text().splitlines(), path))
+    assert fast == scanned

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mvspectral.io
 from mvspectral import (
     DimensionMismatch,
     ParseError,
@@ -70,6 +71,73 @@ class TestReadMatrixCsv:
         write_matrix_csv(matrix, f)
         back, _ = read_matrix_csv(f)
         np.testing.assert_array_equal(back, matrix)
+
+
+class TestFastPath:
+    """Well-formed files are parsed by np.loadtxt; the scan runs only as fallback."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        scan = mvspectral.io._scan_matrix_csv
+
+        def counting(lines, path):
+            calls.append(path)
+            return scan(lines, path)
+
+        monkeypatch.setattr(mvspectral.io, "_scan_matrix_csv", counting)
+        return calls
+
+    def test_adjacency_file_skips_the_scan(self, tmp_path, scans):
+        f = tmp_path / "adj.csv"
+        matrix = np.random.default_rng(3).random((6, 6))
+        write_matrix_csv(matrix, f)
+        back, header = read_matrix_csv(f)
+        np.testing.assert_array_equal(back, matrix)
+        assert header is None and scans == []
+
+    def test_timeseries_file_with_header_skips_the_scan(self, tmp_path, scans):
+        f = tmp_path / "ts.csv"
+        series = np.random.default_rng(4).normal(size=(9, 4))
+        write_matrix_csv(series, f, header=["a", "b", "c", "d"])
+        back, header = read_matrix_csv(f)
+        np.testing.assert_array_equal(back, series)
+        assert header == ["a", "b", "c", "d"] and scans == []
+
+    @pytest.mark.parametrize("text", ["1,2\n3,nan\n", "1,2\n3\n", "1,2\n3,oops\n"],
+                             ids=["nan", "ragged", "bad-token"])
+    def test_rejected_file_runs_the_scan(self, tmp_path, scans, text):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="bad.csv:2"):
+            read_matrix_csv(f)
+        assert len(scans) >= 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "a,b\n"], ids=["empty", "header-only"])
+    def test_no_rows_is_parse_error_without_warning(self, tmp_path, text):
+        f = tmp_path / "none.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="no numeric rows"):
+            read_matrix_csv(f)
+
+
+class TestWriteMatrixCsv:
+    @staticmethod
+    def per_value_repr(matrix, header):
+        lines = [",".join(header)] if header else []
+        lines += [",".join(repr(float(v)) for v in row) for row in np.asarray(matrix)]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("header", [None, ["a", "b", "c"]])
+    @pytest.mark.parametrize("matrix", [
+        [[-0.0, 5e-324, 1e16], [1e-5, 1.7976931348623157e308, 0.1]],
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+    ], ids=["edge-floats", "integers"])
+    def test_bytes_equal_per_value_repr(self, tmp_path, matrix, header):
+        f = tmp_path / "out.csv"
+        write_matrix_csv(np.asarray(matrix), f, header=header)
+        assert f.read_bytes() == self.per_value_repr(matrix, header)
 
 
 class TestLoadAdjacency:
@@ -168,6 +236,15 @@ class TestManifestAndLoadViews:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"path": "x.csv", "type": "parquet"}]))
         with pytest.raises(ParseError):
+            read_manifest(manifest)
+
+    @pytest.mark.parametrize("entry", [{"path": 5}, {"path": None}, {"type": "adjacency"},
+                                       {"path": "a\x00b.csv"}, "a.csv"],
+                             ids=["int", "null", "absent", "nul-char", "not-object"])
+    def test_bad_entry_path_names_the_entry(self, tmp_path, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "ok.csv"}, entry]))
+        with pytest.raises(ParseError, match="entry 1 "):
             read_manifest(manifest)
 
     def test_empty_manifest(self, tmp_path):
