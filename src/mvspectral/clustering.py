@@ -6,10 +6,15 @@ overlap-maximizing cluster permutation, and takes the per-vertex mode.  All
 comparisons between labellings go through that same permutation matching, so
 the reported Dice agreement is invariant to label renumbering.
 
-There is one Lloyd kernel, and it runs any number of seeds in lockstep: each
-seed keeps its own k-means++ draws and stopping point, all seeds share each
-vectorized iteration, and every seed's labels and objective equal those of
-an independent single-seed run.  ``kmeans`` is that kernel with one seed.
+There is one Lloyd kernel, and it runs any number of seeds in lockstep: all
+seeds draw their k-means++ centroids in one vectorized pass, each from its own
+generator and in its own draw order, all seeds share each vectorized Lloyd
+iteration, and each seed stops on its own, at an assignment fixpoint or when
+an update leaves its centroids unchanged.  Every seed's labels and objective
+equal those of an independent single-seed run.  ``kmeans`` is that kernel
+with one seed.  A consensus aligns all its runs in one pass: every table
+whose optimal matching is plain from its row maxima is matched at once, and
+only the rest go through the tie-breaking assignment solves.
 """
 
 from __future__ import annotations
@@ -93,23 +98,40 @@ def _objective(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
     return np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
+    """k-means++ centroids of shape (S, k, d), all seeds drawn together.
+
+    Each seed draws from its own ``default_rng(seed)`` in the order of the
+    one-seed loop: ``integers(n)`` for the first centroid, then per centroid
+    ``integers(n)`` when its squared distances sum to 0, else ``choice(n,
+    p=closest / total)``.  That choice is computed here as
+    ``Generator.choice`` computes it: one ``random()`` double ``u`` and the
+    index ``searchsorted(cdf, u, side="right")`` into the normalized
+    cumulative sum, which for a nondecreasing ``cdf`` is ``(cdf <= u).sum()``.
+    """
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[int(rng.integers(n))]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    centroids = np.empty((len(rngs), k, points.shape[1]))
+    centroids[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
     # An overflow here is reported as NonFiniteDistances below, not as a warning.
     with np.errstate(over="ignore"):
-        closest = ((points - centroids[0]) ** 2).sum(axis=1)
+        closest = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
     for j in range(1, k):
-        total = float(closest.sum())
-        if not np.isfinite(total):
+        total = closest.sum(axis=1)
+        if not np.isfinite(total).all():
             raise NonFiniteDistances("squared distances between points are not finite")
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centroids[j] = points[idx]
-        np.minimum(closest, ((points - centroids[j]) ** 2).sum(axis=1), out=closest)
+        live = total > 0.0
+        # A seed whose total is 0 draws integers(n), exact as a float.
+        draws = np.array([rng.random() if alive else float(rng.integers(n))
+                          for rng, alive in zip(rngs, live.tolist())])
+        picks = draws.astype(np.int64)
+        if live.any():
+            cdf = np.cumsum(closest[live] / total[live, None], axis=1)
+            cdf /= cdf[:, -1:]
+            picks[live] = (cdf <= draws[live, None]).sum(axis=1)
+        centroids[:, j] = points[picks]
+        np.minimum(closest, ((points - centroids[:, j, None, :]) ** 2).sum(axis=-1),
+                   out=closest)
     return centroids
 
 
@@ -154,16 +176,22 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
     """k-means++ and Lloyd iterations for every seed in lockstep.
 
     Each seed draws its initial centroids from its own ``default_rng(seed)``
-    and leaves the active set at its own assignment fixpoint or after
-    ``max_iter`` iterations, so every row of the result equals an
-    independent single-seed run.  With one seed, ``track`` receives its
-    objective after initialization and after each iteration.
+    and leaves the active set at its own assignment fixpoint, when an
+    update leaves its centroids unchanged, or after ``max_iter`` iterations,
+    so every row of the result equals an independent single-seed run.
+    Unchanged centroids give the assignment they gave before, so every later
+    iteration would repeat this one: stopping there changes neither labels
+    nor objective.  It ends the runs with k above the number of distinct
+    points whose empty-cluster repair each next assignment undoes, unless a
+    rounded mean makes them alternate between two states.  With one seed,
+    ``track`` receives its objective after initialization and after each
+    iteration.
 
     Returns:
         (0-based assignments of shape (S, n), objectives of shape (S,))
     """
     d = points.shape[1]
-    centroids = np.stack([_kmeanspp_init(points, k, np.random.default_rng(s)) for s in seeds])
+    centroids = _kmeanspp(points, k, seeds)
     assign, d2 = _nearest(points, centroids)
     objective = _objective(d2, assign)
     if track is not None:
@@ -180,13 +208,14 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
         for r in np.flatnonzero((sizes == 0).any(axis=1)):
             moved[r] = centroids[active[r]]
             _update_with_repair(points, current[r], moved[r])
+        repeated = (moved == centroids[active]).all(axis=(1, 2))
         centroids[active] = moved
         new_assign, d2 = _nearest(points, moved)
         objective[active] = _objective(d2, new_assign)
         if track is not None:
             track.append(float(objective[0]))
         assign[active] = new_assign
-        active = active[~(new_assign == current).all(axis=1)]
+        active = active[~((new_assign == current).all(axis=1) | repeated)]
     return assign, objective
 
 
@@ -194,11 +223,13 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
            track: list | None = None):
     """Seeded k-means++ initialization followed by Lloyd iterations.
 
-    Stops at an assignment fixpoint or after ``max_iter`` iterations; empty
-    clusters are repaired by moving the point farthest from its current
-    centroid.  Pass a list as ``track`` to collect the per-iteration
-    objective (sum of squared distances), which is nonincreasing.  This is
-    the lockstep kernel of ``consensus_labelling`` run with one seed.
+    Stops at an assignment fixpoint, when an update leaves the centroids
+    unchanged (labels and objective are then those of running on to
+    ``max_iter``), or after ``max_iter`` iterations; empty clusters are
+    repaired by moving the point farthest from its current centroid.  Pass
+    a list as ``track`` to collect the per-iteration objective (sum of
+    squared distances), which is nonincreasing.  This is the lockstep
+    kernel of ``consensus_labelling`` run with one seed.
 
     Returns:
         (assignment with ids 1..k, final objective)
@@ -233,6 +264,22 @@ def _max_agreement(counts: np.ndarray) -> int:
     return int(counts[rows, cols].sum())
 
 
+def _unique_row_maxima(tables: np.ndarray):
+    """Row argmaxes of stacked (T, k, k) tables, and which tables they match uniquely.
+
+    A table whose every row has a strict maximum, no two rows in the same
+    column, has that row-to-column matching as its only agreement maximizer.
+
+    Returns:
+        (argmax columns of shape (T, k), boolean mask of shape (T,))
+    """
+    top = tables.argmax(axis=2)
+    peak = np.take_along_axis(tables, top[:, :, None], axis=2)
+    strict = (np.count_nonzero(tables == peak, axis=2) == 1).all(axis=1)
+    ordered = np.sort(top, axis=1)
+    return top, strict & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+
+
 def best_label_permutation(counts: np.ndarray):
     """Agreement-maximizing label permutation for a contingency table.
 
@@ -250,11 +297,9 @@ def best_label_permutation(counts: np.ndarray):
     if counts.shape != (k, k):
         raise ShapeMismatch(f"contingency table must be square, got {counts.shape}")
     if k:
-        top = counts.argmax(axis=1)
-        peak = counts[np.arange(k), top]
-        strict = np.count_nonzero(counts == peak[:, None], axis=1) == 1
-        if strict.all() and np.unique(top).size == k:
-            return top + 1, int(peak.sum())
+        top, unique = _unique_row_maxima(counts[None])
+        if unique[0]:
+            return top[0] + 1, int(counts[np.arange(k), top[0]].sum())
     best_total = _max_agreement(counts)
     perm = np.zeros(k, dtype=np.int64)
     remaining = list(range(k))
@@ -302,10 +347,14 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     """Mode labelling over many aligned k-means runs.
 
     k-means runs with seeds ``base_seed .. base_seed + num_seeds - 1``, all
-    in lockstep, with labels identical to ``kmeans`` run once per seed; each
-    run is aligned to the first by ``best_label_permutation`` before the
-    per-vertex vote (no assignment solve when every row of the contingency
-    table has a strict maximum in its own column).  Ties go to the lowest
+    in lockstep (one k-means++ pass, then shared Lloyd iterations), each
+    seed stopping at its own assignment fixpoint, when an update leaves its
+    centroids unchanged, or after ``KMEANS_MAX_ITER`` iterations, with
+    labels identical to ``kmeans`` run once per seed.  Each run is aligned
+    to the first before the per-vertex vote, in one pass over all their
+    contingency tables: a table whose every row has a strict maximum in its
+    own column is matched by those maxima, its only optimum, and only the
+    other tables call ``best_label_permutation``.  Ties go to the lowest
     cluster id.  Cluster ids that win no vertex are reported in the
     metadata, not repaired.
     """
@@ -321,9 +370,11 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     # tables[r - 1][i][j] counts vertices in cluster i of run r and j of run 0.
     cells = (np.arange(num_seeds - 1)[:, None] * k + runs[1:]) * k + runs[0]
     tables = np.bincount(cells.ravel(), minlength=(num_seeds - 1) * k * k)
-    aligned = runs.copy()
-    for r, table in enumerate(tables.reshape(num_seeds - 1, k, k), start=1):
-        aligned[r] = best_label_permutation(table)[0][runs[r]] - 1
+    tables = tables.reshape(num_seeds - 1, k, k)
+    perms, unique = _unique_row_maxima(tables)
+    for r in np.flatnonzero(~unique):
+        perms[r] = best_label_permutation(tables[r])[0] - 1
+    aligned = np.vstack([runs[:1], np.take_along_axis(perms, runs[1:], axis=1)])
     votes = np.bincount((np.arange(n) * k + aligned).ravel(), minlength=n * k).reshape(n, k)
     assignment = np.argmax(votes, axis=1) + 1
     support = votes[np.arange(n), assignment - 1] / num_seeds

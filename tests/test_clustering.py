@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import mvspectral.clustering as clustering
 from mvspectral import (
     Embedding,
     Labelling,
+    NonFiniteDistances,
     ShapeMismatch,
     TooFewPoints,
     best_label_permutation,
@@ -30,8 +32,14 @@ def exhaustive_best_permutation(counts):
     return np.asarray(best_perm) + 1, best_total
 
 
-def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track=None):
-    """Single-seed k-means++ and Lloyd loop, one cluster at a time (the scalar oracle)."""
+def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track=None,
+                     stop_on_repeat=True):
+    """Single-seed k-means++ and Lloyd loop, one cluster at a time (the scalar oracle).
+
+    It stops at an assignment fixpoint or, with ``stop_on_repeat``, when an
+    update leaves the centroids unchanged; without it, such a run goes on
+    to ``max_iter`` (the capped run).
+    """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
@@ -53,6 +61,7 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
     if track is not None:
         track.append(objective)
     for _ in range(max_iter):
+        previous = centroids.copy()
         for j in range(k):
             members = assign == j
             if members.any():
@@ -66,9 +75,10 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
         objective = float(d2[np.arange(n), new_assign].sum())
         if track is not None:
             track.append(objective)
-        if np.array_equal(new_assign, assign):
-            break
+        fixpoint = np.array_equal(new_assign, assign)
         assign = new_assign
+        if fixpoint or (stop_on_repeat and np.array_equal(centroids, previous)):
+            break
     return assign + 1, objective
 
 
@@ -88,18 +98,32 @@ def reference_consensus(points, k, num_seeds, base_seed):
 def lockstep_families():
     """(points, k, max_iter): planted blobs in 2-d and 1-d, 16 copies of 7
     distinct points with k=8 (an empty cluster to repair on every iteration),
-    and a max_iter=2 cap that stops seeds before their fixpoint."""
+    a max_iter=2 cap that stops seeds before their fixpoint, all points
+    identical (every k-means++ total is 0), k=1, k=n, noise in one
+    dimension, coordinates scaled so that squared distances are subnormal
+    (1e-160) or near the top of the range (1e150), and few noisy points for
+    many clusters, whose runs disagree so much that contingency tables
+    between them have tied rows and shared argmax columns."""
     rng = np.random.default_rng(20)
     blobs, _ = blob_points(rng, [(0, 0), (6, 0), (0, 6), (6, 6)], 12, sigma=1.5)
     line, _ = blob_points(rng, [(0,), (3,), (7,)], 15, sigma=1.2)
     distinct = rng.normal(size=(7, 3))
     duplicates = distinct[rng.integers(0, 7, size=16)]
     noisy = rng.normal(size=(60, 4))
+    few = rng.normal(size=(9, 3))
+    cap = clustering.KMEANS_MAX_ITER
     return {
-        "blobs": (blobs, 4, clustering.KMEANS_MAX_ITER),
-        "blobs-1d": (line, 3, clustering.KMEANS_MAX_ITER),
-        "duplicates": (duplicates, 8, clustering.KMEANS_MAX_ITER),
+        "blobs": (blobs, 4, cap),
+        "blobs-1d": (line, 3, cap),
+        "duplicates": (duplicates, 8, cap),
         "max-iter-2": (noisy, 6, 2),
+        "identical": (np.full((12, 3), 0.7), 4, cap),
+        "k-1": (noisy, 1, cap),
+        "k-n": (few, 9, cap),
+        "noise-1d": (rng.normal(size=(40, 1)), 5, cap),
+        "scaled-1e-160": (blobs * 1e-160, 4, cap),
+        "scaled-1e150": (blobs * 1e150, 4, cap),
+        "tie-heavy": (rng.normal(size=(14, 2)), 5, cap),
     }
 
 
@@ -109,6 +133,9 @@ def blob_points(rng, centers, per_blob, sigma):
         points.append(rng.normal(size=(per_blob, len(c))) * sigma + np.asarray(c))
         labels += [i] * per_blob
     return np.vstack(points), np.asarray(labels)
+
+
+LOCKSTEP_FAMILIES = list(lockstep_families())
 
 
 class TestKmeans:
@@ -164,7 +191,7 @@ class TestKmeans:
 class TestLockstepKernel:
     SEEDS = range(50)
 
-    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates", "max-iter-2"])
+    @pytest.mark.parametrize("family", LOCKSTEP_FAMILIES)
     def test_kmeans_equals_scalar_reference(self, family):
         pts, k, max_iter = lockstep_families()[family]
         for seed in self.SEEDS:
@@ -176,7 +203,7 @@ class TestLockstepKernel:
             assert objective == expected_objective
             assert track == expected_track
 
-    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates", "max-iter-2"])
+    @pytest.mark.parametrize("family", LOCKSTEP_FAMILIES)
     def test_lockstep_rows_equal_independent_runs(self, family, monkeypatch):
         repairs = []
         repair = clustering._update_with_repair
@@ -191,18 +218,64 @@ class TestLockstepKernel:
             stops.add(len(track))
             np.testing.assert_array_equal(runs[seed] + 1, expected)
             assert objectives[seed] == expected_objective
-        if family == "duplicates":
+        if family in ("duplicates", "identical"):
             assert repairs, "no seed met an empty cluster"
-        elif family != "max-iter-2":
+        elif family in ("blobs", "blobs-1d"):
             assert len(stops) > 1, "every seed stopped at the same iteration"
 
-    @pytest.mark.parametrize("family", ["blobs", "blobs-1d", "duplicates"])
-    def test_consensus_equals_reference_consensus(self, family):
+    def test_repeated_centroids_stop_without_changing_the_result(self):
+        # Each repair is undone by the next assignment, so these seeds never
+        # reach an assignment fixpoint; the capped run repeats its last
+        # iteration up to max_iter, and stopping early must not change it.
+        pts, k, max_iter = lockstep_families()["duplicates"]
+        for seed in self.SEEDS:
+            track, capped_track = [], []
+            labels, objective = kmeans(pts, k, seed, max_iter=max_iter, track=track)
+            capped, capped_objective = reference_kmeans(pts, k, seed, max_iter, capped_track,
+                                                        stop_on_repeat=False)
+            np.testing.assert_array_equal(labels, capped)
+            assert objective == capped_objective
+            assert len(capped_track) == max_iter + 1
+            assert len(track) <= 3
+            assert track == capped_track[:len(track)]
+            assert track[-1] == capped_track[-1]
+
+    def test_points_near_1e200_raise_the_typed_error_without_warnings(self):
+        rng = np.random.default_rng(21)
+        pts = 1e200 * (1.0 + rng.normal(size=(20, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDistances, match="^squared distances between points "
+                                                         "are not finite$"):
+                kmeans(pts, 3, seed=0)
+            with pytest.raises(NonFiniteDistances, match="not finite"):
+                consensus_labelling(pts, 3, num_seeds=10)
+
+    @pytest.mark.parametrize("family, num_seeds", [
+        pytest.param("blobs", 50, id="blobs"),
+        pytest.param("blobs-1d", 50, id="blobs-1d"),
+        pytest.param("duplicates", 50, id="duplicates"),
+        pytest.param("tie-heavy", 100, id="tie-heavy"),
+        pytest.param("blobs", 1, id="one-seed"),
+        pytest.param("blobs", 2, id="two-seeds"),
+        pytest.param("k-1", 20, id="k-1"),
+    ])
+    def test_consensus_equals_reference_consensus(self, family, num_seeds, monkeypatch):
+        solved = []
+        real = clustering.best_label_permutation
+        monkeypatch.setattr(clustering, "best_label_permutation",
+                            lambda table: solved.append(table) or real(table))
         pts, k, _ = lockstep_families()[family]
-        lab = consensus_labelling(pts, k, num_seeds=50, base_seed=3)
-        assignment, support = reference_consensus(pts, k, 50, 3)
+        lab = consensus_labelling(pts, k, num_seeds=num_seeds, base_seed=3)
+        assignment, support = reference_consensus(pts, k, num_seeds, 3)
         np.testing.assert_array_equal(lab.assignment, assignment)
         np.testing.assert_array_equal(lab.mode_support, support)
+        assert len(solved) <= num_seeds - 1
+        if family == "tie-heavy":
+            tied = [t for t in solved
+                    if (np.count_nonzero(t == t.max(axis=1, keepdims=True), axis=1) > 1).any()]
+            shared = [t for t in solved if np.unique(t.argmax(axis=1)).size < k]
+            assert tied and shared
 
 
 class TestMatchPermutation:
