@@ -10,11 +10,12 @@ There is one Lloyd kernel, and it runs any number of seeds in lockstep: all
 seeds draw their k-means++ centroids in one vectorized pass, each from its own
 generator and in its own draw order, all seeds share each vectorized Lloyd
 iteration, and each seed stops on its own, at an assignment fixpoint or when
-an update leaves its centroids unchanged.  Every seed's labels and objective
-equal those of an independent single-seed run.  ``kmeans`` is that kernel
-with one seed.  A consensus aligns all its runs in one pass: every table
-whose optimal matching is plain from its row maxima is matched at once, and
-only the rest go through the tie-breaking assignment solves.
+an update leaves its centroids unchanged or returns those of two iterations
+back.  Every seed's labels and objective equal those of an independent
+single-seed run.  ``kmeans`` is that kernel with one seed.  A consensus
+aligns all its runs in one pass: every table whose optimal matching is plain
+from its row maxima is matched at once, and only the rest go through the
+tie-breaking assignment solves.
 """
 
 from __future__ import annotations
@@ -113,13 +114,14 @@ def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
     rngs = [np.random.default_rng(s) for s in seeds]
     centroids = np.empty((len(rngs), k, points.shape[1]))
     centroids[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
-    # An overflow here is reported as NonFiniteDistances below, not as a warning.
+    # An overflow here is reported as NonFiniteDistances, not as a warning.
     with np.errstate(over="ignore"):
         closest = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
-    for j in range(1, k):
         total = closest.sum(axis=1)
-        if not np.isfinite(total).all():
-            raise NonFiniteDistances("squared distances between points are not finite")
+    # Checked once, for every k: closest only shrinks, so later totals stay finite.
+    if not np.isfinite(total).all():
+        raise NonFiniteDistances("squared distances between points are not finite")
+    for j in range(1, k):
         live = total > 0.0
         # A seed whose total is 0 draws integers(n), exact as a float.
         draws = np.array([rng.random() if alive else float(rng.integers(n))
@@ -132,6 +134,7 @@ def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
         centroids[:, j] = points[picks]
         np.minimum(closest, ((points - centroids[:, j, None, :]) ** 2).sum(axis=-1),
                    out=closest)
+        total = closest.sum(axis=1)
     return centroids
 
 
@@ -177,27 +180,31 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
 
     Each seed draws its initial centroids from its own ``default_rng(seed)``
     and leaves the active set at its own assignment fixpoint, when an
-    update leaves its centroids unchanged, or after ``max_iter`` iterations,
-    so every row of the result equals an independent single-seed run.
-    Unchanged centroids give the assignment they gave before, so every later
-    iteration would repeat this one: stopping there changes neither labels
-    nor objective.  It ends the runs with k above the number of distinct
-    points whose empty-cluster repair each next assignment undoes, unless a
-    rounded mean makes them alternate between two states.  With one seed,
+    update leaves its centroids unchanged or returns those of two
+    iterations back, or after ``max_iter`` iterations, so every row of the
+    result equals an independent single-seed run.  The centroids alone
+    determine the next ones, so unchanged centroids repeat forever, and
+    centroids equal to those of two iterations back alternate between the
+    last two states up to ``max_iter``: such a seed keeps the state the cap
+    would end on, and stopping changes neither labels nor objective.  These
+    stops end the runs with k above the number of distinct points, whose
+    empty-cluster repair each next assignment undoes.  With one seed,
     ``track`` receives its objective after initialization and after each
-    iteration.
+    iteration run.
 
     Returns:
         (0-based assignments of shape (S, n), objectives of shape (S,))
     """
     d = points.shape[1]
     centroids = _kmeanspp(points, k, seeds)
+    # Centroids of two iterations back; NaN matches nothing.
+    older = np.full_like(centroids, np.nan)
     assign, d2 = _nearest(points, centroids)
     objective = _objective(d2, assign)
     if track is not None:
         track.append(float(objective[0]))
     active = np.arange(len(seeds))
-    for _ in range(max_iter):
+    for remaining in range(max_iter - 1, -1, -1):
         if active.size == 0:
             break
         current = assign[active]
@@ -209,13 +216,19 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
             moved[r] = centroids[active[r]]
             _update_with_repair(points, current[r], moved[r])
         repeated = (moved == centroids[active]).all(axis=(1, 2))
+        cycled = (moved == older[active]).all(axis=(1, 2))
+        older[active] = centroids[active]
         centroids[active] = moved
         new_assign, d2 = _nearest(points, moved)
-        objective[active] = _objective(d2, new_assign)
+        new_objective = _objective(d2, new_assign)
         if track is not None:
-            track.append(float(objective[0]))
-        assign[active] = new_assign
-        active = active[~((new_assign == current).all(axis=1) | repeated)]
+            track.append(float(new_objective[0]))
+        done = (new_assign == current).all(axis=1) | repeated
+        # An odd number of iterations left would end on the previous state.
+        keep = ~(cycled & ~done & (remaining % 2 == 1))
+        assign[active[keep]] = new_assign[keep]
+        objective[active[keep]] = new_objective[keep]
+        active = active[~(done | cycled)]
     return assign, objective
 
 
@@ -224,12 +237,13 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     """Seeded k-means++ initialization followed by Lloyd iterations.
 
     Stops at an assignment fixpoint, when an update leaves the centroids
-    unchanged (labels and objective are then those of running on to
-    ``max_iter``), or after ``max_iter`` iterations; empty clusters are
-    repaired by moving the point farthest from its current centroid.  Pass
-    a list as ``track`` to collect the per-iteration objective (sum of
-    squared distances), which is nonincreasing.  This is the lockstep
-    kernel of ``consensus_labelling`` run with one seed.
+    unchanged or returns those of two iterations back (labels and objective
+    are then those of running on to ``max_iter``), or after ``max_iter``
+    iterations; empty clusters are repaired by moving the point farthest
+    from its current centroid.  Pass a list as ``track`` to collect the
+    per-iteration objective (sum of squared distances), which is
+    nonincreasing.  This is the lockstep kernel of ``consensus_labelling``
+    run with one seed.
 
     Returns:
         (assignment with ids 1..k, final objective)
@@ -349,10 +363,10 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     k-means runs with seeds ``base_seed .. base_seed + num_seeds - 1``, all
     in lockstep (one k-means++ pass, then shared Lloyd iterations), each
     seed stopping at its own assignment fixpoint, when an update leaves its
-    centroids unchanged, or after ``KMEANS_MAX_ITER`` iterations, with
-    labels identical to ``kmeans`` run once per seed.  Each run is aligned
-    to the first before the per-vertex vote, in one pass over all their
-    contingency tables: a table whose every row has a strict maximum in its
+    centroids unchanged or returns those of two iterations back, or after
+    ``KMEANS_MAX_ITER`` iterations, with labels identical to ``kmeans`` run
+    once per seed.  Each run is aligned to the first before the per-vertex
+    vote, in one pass over all their contingency tables: a table whose every row has a strict maximum in its
     own column is matched by those maxima, its only optimum, and only the
     other tables call ``best_label_permutation``.  Ties go to the lowest
     cluster id.  Cluster ids that win no vertex are reported in the

@@ -37,8 +37,9 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
     """Single-seed k-means++ and Lloyd loop, one cluster at a time (the scalar oracle).
 
     It stops at an assignment fixpoint or, with ``stop_on_repeat``, when an
-    update leaves the centroids unchanged; without it, such a run goes on
-    to ``max_iter`` (the capped run).
+    update leaves the centroids unchanged or returns those of two iterations
+    back, keeping of the two alternating states the one the cap ends on;
+    without it, such a run goes on to ``max_iter`` (the capped run).
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -60,8 +61,10 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
     objective = float(d2[np.arange(n), assign].sum())
     if track is not None:
         track.append(objective)
-    for _ in range(max_iter):
+    older = None
+    for it in range(1, max_iter + 1):
         previous = centroids.copy()
+        previous_state = assign.copy(), objective
         for j in range(k):
             members = assign == j
             if members.any():
@@ -79,6 +82,11 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
         assign = new_assign
         if fixpoint or (stop_on_repeat and np.array_equal(centroids, previous)):
             break
+        if stop_on_repeat and older is not None and np.array_equal(centroids, older):
+            if (max_iter - it) % 2 == 1:
+                assign, objective = previous_state
+            break
+        older = previous
     return assign + 1, objective
 
 
@@ -225,10 +233,16 @@ class TestLockstepKernel:
 
     def test_repeated_centroids_stop_without_changing_the_result(self):
         # Each repair is undone by the next assignment, so these seeds never
-        # reach an assignment fixpoint; the capped run repeats its last
-        # iteration up to max_iter, and stopping early must not change it.
-        pts, k, max_iter = lockstep_families()["duplicates"]
-        for seed in self.SEEDS:
+        # reach an assignment fixpoint.  The capped run repeats its last
+        # iteration (duplicates) or alternates between its last two, as the
+        # mean of the copies rounds off the point (identical, under an even
+        # and an odd cap), up to max_iter; stopping early must not change
+        # its result.
+        families = lockstep_families()
+        cap = clustering.KMEANS_MAX_ITER
+        cases = [("duplicates", cap, 3), ("identical", cap, 4), ("identical", cap + 1, 4)]
+        for (family, max_iter, longest), seed in itertools.product(cases, self.SEEDS):
+            pts, k, _ = families[family]
             track, capped_track = [], []
             labels, objective = kmeans(pts, k, seed, max_iter=max_iter, track=track)
             capped, capped_objective = reference_kmeans(pts, k, seed, max_iter, capped_track,
@@ -236,20 +250,21 @@ class TestLockstepKernel:
             np.testing.assert_array_equal(labels, capped)
             assert objective == capped_objective
             assert len(capped_track) == max_iter + 1
-            assert len(track) <= 3
+            assert len(track) <= longest
             assert track == capped_track[:len(track)]
-            assert track[-1] == capped_track[-1]
+            assert track[len(track) - 1 - (max_iter + 1 - len(track)) % 2] == capped_track[-1]
 
     def test_points_near_1e200_raise_the_typed_error_without_warnings(self):
         rng = np.random.default_rng(21)
         pts = 1e200 * (1.0 + rng.normal(size=(20, 3)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteDistances, match="^squared distances between points "
-                                                         "are not finite$"):
-                kmeans(pts, 3, seed=0)
-            with pytest.raises(NonFiniteDistances, match="not finite"):
-                consensus_labelling(pts, 3, num_seeds=10)
+        for k in (3, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteDistances, match="^squared distances between "
+                                                             "points are not finite$"):
+                    kmeans(pts, k, seed=0)
+                with pytest.raises(NonFiniteDistances, match="not finite"):
+                    consensus_labelling(pts, k, num_seeds=10)
 
     @pytest.mark.parametrize("family, num_seeds", [
         pytest.param("blobs", 50, id="blobs"),

@@ -19,6 +19,8 @@ from mvspectral import (
     off_cost,
     sym_eig,
 )
+import mvspectral.jdl as jdl
+from mvspectral.eigen import fix_column_signs
 from mvspectral.graphs import SYMMETRIC_NORMALIZED
 from mvspectral.jdl import _principal_rotation, _round_robin_schedule
 
@@ -306,3 +308,79 @@ class TestConvergedFlag:
         jd = joint_diagonalize_matrices(random_symmetric_family(rng, 5, 10), max_sweeps=3)
         assert jd.converged is False
         assert jd.sweeps_run == 3
+
+
+def reference_sweeps(matrices, sweeps):
+    """The jdl sweeps one pair at a time, in natural index order (the slow oracle).
+
+    Each round-robin step takes the scalar closed-form angle of every pair
+    from the matrices as they stand at the start of the step, skips the
+    pairs below the threshold, and applies the others' Givens rotations
+    to rows, columns and basis columns one pair after another.
+
+    Returns:
+        {sweep: (signed basis, off_history, mean_diagonal)} after each sweep run.
+    """
+    stack = np.array([0.5 * (a + a.T) for a in np.asarray(matrices, dtype=float)])
+    n = stack.shape[1]
+    basis = np.eye(n)
+    off = off_oracle(stack, basis)
+    history, states = [], {}
+    for sweep in range(1, sweeps + 1):
+        threshold = jdl.SKIP_FACTOR * off
+        for p, q in _round_robin_schedule(n):
+            rotations = []
+            for a, b in zip(p.tolist(), q.tolist()):
+                h1 = stack[:, a, a] - stack[:, b, b]
+                h2 = 2.0 * stack[:, a, b]
+                c, s = scalar_rotation(float(h1 @ h1), float(h1 @ h2), float(h2 @ h2))
+                if 0.5 * float(h2 @ h2) >= threshold and abs(s) >= 1e-16:
+                    rotations.append((a, b, c, s))
+            for a, b, c, s in rotations:
+                ra, rb = stack[:, a, :].copy(), stack[:, b, :].copy()
+                stack[:, a, :], stack[:, b, :] = c * ra + s * rb, c * rb - s * ra
+                ca, cb = stack[:, :, a].copy(), stack[:, :, b].copy()
+                stack[:, :, a], stack[:, :, b] = c * ca + s * cb, c * cb - s * ca
+                ba, bb = basis[:, a].copy(), basis[:, b].copy()
+                basis[:, a], basis[:, b] = c * ba + s * bb, c * bb - s * ba
+        new_off = sum(float((v * v).sum() - (np.diag(v) ** 2).sum()) for v in stack)
+        history.append(new_off)
+        states[sweep] = (fix_column_signs(basis.copy()), np.array(history),
+                         np.diagonal(stack, axis1=1, axis2=2).mean(axis=0))
+        reduction, off = off - new_off, new_off
+        if reduction <= jdl.DEFAULT_TOL * new_off:
+            break
+    return states
+
+
+class TestPairInterleavedKernel:
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 48])
+    def test_matches_pairwise_reference(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        mats = random_symmetric_family(rng, m, n)
+        states = reference_sweeps(mats, 10)
+        # The off-cost is the total squared mass less the diagonal's, so it
+        # is exact only to rounding of the total: a diagonalized family ends there.
+        floor = 1e-13 * sum(float((a * a).sum()) for a in mats)
+        for sweeps in (1, 3, 10):
+            jd = joint_diagonalize_matrices(mats, max_sweeps=sweeps)
+            basis, history, diag = states[min(sweeps, max(states))]
+            assert jd.reorthonormalizations == 0
+            assert jd.sweeps_run == history.size
+            assert jd.basis.shape == (n, n) and jd.mean_diagonal.shape == (n,)
+            np.testing.assert_allclose(jd.off_history, history, rtol=1e-10, atol=floor)
+            np.testing.assert_allclose(jd.basis, basis, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(jd.mean_diagonal, diag, rtol=0, atol=1e-9)
+            assert np.abs(jd.basis.T @ jd.basis - np.eye(n)).max() <= 1e-12
+
+    def test_every_sweep_reorthonormalized(self, monkeypatch):
+        monkeypatch.setattr(jdl, "ORTHO_DRIFT_TOL", -1.0)
+        rng = np.random.default_rng(18)
+        for n in (7, 8):
+            mats = random_symmetric_family(rng, 3, n)
+            jd = joint_diagonalize_matrices(mats, max_sweeps=6)
+            assert jd.reorthonormalizations == jd.sweeps_run == 6
+            assert np.abs(jd.basis.T @ jd.basis - np.eye(n)).max() <= 1e-12
+            assert off_cost(mats, jd.basis) == pytest.approx(jd.off_history[-1], rel=1e-9)
+            assert np.all(np.diff(jd.off_history) <= 1e-10 * jd.off_history[0])
