@@ -1,5 +1,5 @@
 """Multi-view spectral clustering for collections of graphs on a shared
-vertex set, with a joint-Laplacian-diagonalization baseline and the
+vertex set, with a joint-laplacian-diagonalization (JDL) baseline and the
 evaluation harness (eigengap, consensus consistency, timing) around them."""
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ from .errors import (
     DisconnectedGraph,
     InsufficientViews,
     InvalidCluster,
-    InvalidKind,
     InvalidSpec,
     InvalidTimeSeries,
     InvalidView,
@@ -31,9 +30,6 @@ from .errors import (
     ZeroVolumeCluster,
 )
 from .graphs import (
-    COMBINATORIAL,
-    SYMMETRIC_NORMALIZED,
-    Laplacian,
     Partition,
     ViewGraph,
     cut_cost,
@@ -73,7 +69,6 @@ from .clustering import (
     contingency_table,
     dice,
     kmeans,
-    match_permutation,
 )
 from .synth import SyntheticSpec, synth_views
 from .io import LoadReport, RunReport, dump_json, load_views

@@ -330,16 +330,6 @@ def best_label_permutation(counts: np.ndarray):
     return perm, best_total
 
 
-def match_permutation(a, b) -> np.ndarray:
-    """Permutation of labels in ``a`` that maximizes overlap with ``b``.
-
-    Raises:
-        ShapeMismatch: different lengths or cluster counts.
-    """
-    perm, _ = best_label_permutation(contingency_table(a, b))
-    return perm
-
-
 def dice(a, b) -> float:
     """Matched-label Dice agreement between two labellings in [0, 1].
 

@@ -3,7 +3,8 @@
 The generalized problem L x = lambda D x with diagonal positive D is reduced
 to an ordinary symmetric problem on D^(-1/2) L D^(-1/2) and back-substituted,
 so the returned eigenvectors are D-orthonormal.  ``generalized_eig`` is the
-one solve of that pencil: given ``count`` it asks LAPACK for the smallest
+one solve of that pencil: it takes the graph, so L = D - W and D always come
+from the same W, and given ``count`` it asks LAPACK for the smallest
 ``count`` eigenpairs only, which is all an embedding of k clusters uses.
 Column signs follow a fixed convention (largest-magnitude entry positive,
 ties broken by lowest index) to make outputs reproducible.
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DisconnectedGraph, InvalidKind, NoConvergence, NotSymmetric
-from .graphs import COMBINATORIAL, Laplacian, degree_scaled
+from .errors import DimensionError, DisconnectedGraph, NoConvergence, NotSymmetric
+from .graphs import ViewGraph, degree, degree_scaled, laplacian
 
 SYMMETRY_RTOL = 1e-8
 
-# Every eigenvalue of a Laplacian pencil (L, D) lies in [0, 2]; eigenvalues
+# Every eigenvalue of a graph's pencil (L, D) lies in [0, 2]; eigenvalues
 # below ZERO_TOL_FACTOR times that bound count as "trivial" zeros.
 ZERO_TOL_FACTOR = 1e-8
 
@@ -87,29 +88,23 @@ def sym_eig(a) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def generalized_eig(lap: Laplacian, degrees, count: int | None = None) -> EigenPairs:
-    """Smallest ``count`` eigenpairs of L x = lambda D x (all n when None).
+def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
+    """Smallest ``count`` eigenpairs of the pencil (L, D) of ``g`` (all n when None).
 
-    ``lap`` is ``laplacian(g)`` of a graph and ``degrees`` is ``degree(g)``.
-    Only the requested eigenpairs are computed.
+    L = D - W is ``laplacian(g)`` and D = diag(``degree(g)``).  Only the
+    requested eigenpairs are computed.
 
     Raises:
-        InvalidKind: ``lap`` is not a combinatorial ``Laplacian``.
-        DimensionError: sizes disagree, or ``count`` is outside 1..n.
+        DimensionError: ``count`` is outside 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
-    if not isinstance(lap, Laplacian) or lap.kind != COMBINATORIAL:
-        raise InvalidKind("generalized_eig expects the combinatorial Laplacian")
-    mat = lap.matrix
-    d = np.asarray(degrees, dtype=np.float64)
-    n = d.shape[0]
-    if mat.shape[0] != n:
-        raise DimensionError(f"Laplacian is {mat.shape}, degrees have length {n}")
-    if count is not None and not 1 <= count <= n:
-        raise DimensionError(f"count must be in 1..{n}, got {count}")
+    d = degree(g)
+    if count is not None and not 1 <= count <= g.n:
+        raise DimensionError(f"count must be in 1..{g.n}, got {count}")
     subset = None if count is None else [0, count - 1]
     try:
-        values, reduced = scipy.linalg.eigh(degree_scaled(mat, d), subset_by_index=subset)
+        values, reduced = scipy.linalg.eigh(degree_scaled(laplacian(g), d),
+                                             subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NoConvergence(str(exc)) from exc
     vectors = fix_column_signs(reduced / np.sqrt(d)[:, None])
@@ -119,7 +114,7 @@ def generalized_eig(lap: Laplacian, degrees, count: int | None = None) -> EigenP
 
 
 def zero_multiplicity(values: np.ndarray) -> int:
-    """Count eigenvalues of a Laplacian pencil below ZERO_TOL_FACTOR * 2.
+    """Count eigenvalues of a graph's pencil (L, D) below ZERO_TOL_FACTOR * 2.
 
     The tolerance scales with the bound 2 of the whole spectrum, not with the
     largest value given, so a partial spectrum is judged like a full one.

@@ -75,7 +75,8 @@ class ZeroVolumeCluster(MVSpectralError):
 
 
 class InvalidWeights(MVSpectralError, ValueError):
-    """An affinity matrix has non-finite or negative entries.
+    """An affinity matrix has non-finite or negative entries, or a matrix
+    family given to joint diagonalization has non-finite ones.
 
     Also a ``ValueError``, so callers that catch that keep working.
     """
@@ -112,15 +113,6 @@ class NotOrthogonal(MVSpectralError, ValueError):
 
 class InvalidWeightVector(MVSpectralError, ValueError):
     """View weights are negative or do not sum to one.
-
-    Also a ``ValueError``, so callers that catch that keep working.
-    """
-
-    exit_code = EXIT_CONFIG
-
-
-class InvalidKind(MVSpectralError, ValueError):
-    """A Laplacian kind is unknown, or an input is not the Laplacian an operation needs.
 
     Also a ``ValueError``, so callers that catch that keep working.
     """

@@ -23,7 +23,7 @@ except ImportError:  # optional: timing pins the loaded OpenBLAS builds via ctyp
     threadpool_info = threadpool_limits = None
 
 from .clustering import consensus_labelling, dice
-from .errors import DimensionError, InsufficientViews, InvalidSpec
+from .errors import InsufficientViews, InvalidSpec
 from .io import RunReport, report_version
 from .jdl import jdl_embed, joint_diagonalize
 from .multiview import MultiViewSet, aasc_weights, embed, mvsc_weights, mvscw_weights
@@ -141,16 +141,23 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
     via ``weight_k`` and defaulting to ``k_max + 1``); the joint
     diagonalization method reports sorted mean-diagonal column scores.
     ``suggested_k`` marks the largest consecutive ratio.
+
+    Raises:
+        InvalidSpec: an unknown method, ``k_max`` outside ``1..n-1`` or
+            ``weight_k`` outside ``2..n``; all are checked before any
+            eigensolve.
     """
     check_method(method)
     if not 1 <= k_max <= set_.n - 1:
-        raise DimensionError(f"k_max must be in 1..{set_.n - 1}, got {k_max}")
+        raise InvalidSpec(f"k_max={k_max} is outside 1..{set_.n - 1} for n={set_.n} vertices")
+    weight_k = k_max + 1 if weight_k is None else weight_k
+    if not 2 <= weight_k <= set_.n:
+        raise InvalidSpec(f"weight_k={weight_k} is outside 2..{set_.n}")
     if method == "jdl":
         jd = joint_diagonalize(set_)
         scores = np.sort(jd.mean_diagonal)
         values = scores[1:1 + k_max]
     else:
-        weight_k = k_max + 1 if weight_k is None else weight_k
         w, emb = _AGGREGATION[method](set_, weight_k)
         if emb is None or weight_k != k_max + 1:
             emb = embed(set_, w, k_max + 1)

@@ -4,6 +4,11 @@ A view is one undirected weighted graph over the shared vertex set, stored as
 a dense symmetric nonnegative matrix with a zero diagonal.  Graphs are built
 either from raw affinity matrices or from region time series via Fisher
 z-transformed Pearson correlations with negative weights zeroed.
+
+``laplacian`` gives L = D - W, with D the diagonal of degrees.  The one
+degree normalization is ``degree_scaled``, D^(-1/2) M D^(-1/2): applied to
+L it reduces the pencil (L, D), applied to W it gives the symmetric-normalized
+form I - D^(-1/2) W D^(-1/2), which is the same matrix in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     InvalidCluster,
-    InvalidKind,
     InvalidTimeSeries,
     InvalidWeights,
     IsolatedVertex,
@@ -31,10 +35,6 @@ FISHER_CLAMP = 1e-7
 # Asymmetry beyond this (relative to the largest entry) triggers a warning
 # before the matrix is symmetrized.
 ASYMMETRY_WARN = 1e-8
-
-COMBINATORIAL = "combinatorial"
-SYMMETRIC_NORMALIZED = "symmetric-normalized"
-_LAPLACIAN_KINDS = (COMBINATORIAL, SYMMETRIC_NORMALIZED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +88,6 @@ class ViewGraph:
                 raise InvalidWeights("affinity matrix degrees overflow float64")
         w.setflags(write=False)
         return cls(n=w.shape[0], weights=w, label=label)
-
-
-@dataclass(frozen=True, eq=False)
-class Laplacian:
-    """Graph Laplacian together with the normalization it was built with."""
-
-    matrix: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +172,9 @@ def degree(g: ViewGraph) -> np.ndarray:
 def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
     """D^(-1/2) M D^(-1/2) with D = diag(degrees), symmetrized against round-off.
 
-    This is the one degree normalization behind the symmetric-normalized
-    Laplacian I - D^(-1/2) W D^(-1/2) and the reduction of the pencil (L, D).
+    With ``M = laplacian(g)`` it reduces the pencil (L, D) to one symmetric
+    matrix; with ``M = g.weights`` it gives the symmetric-normalized form
+    I - D^(-1/2) W D^(-1/2) as the identity minus the result.
 
     Raises:
         IsolatedVertex: some degree is not strictly positive.
@@ -195,22 +188,11 @@ def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
     return 0.5 * (scaled + scaled.T)
 
 
-def laplacian(g: ViewGraph, kind: str = COMBINATORIAL) -> Laplacian:
-    """Build the combinatorial (D - W) or symmetric-normalized Laplacian.
-
-    Raises:
-        InvalidKind: ``kind`` is not one of the two.
-        IsolatedVertex: a zero-degree vertex blocks normalization.
-    """
-    if kind not in _LAPLACIAN_KINDS:
-        raise InvalidKind(f"unknown laplacian kind {kind!r}; expected one of {_LAPLACIAN_KINDS}")
-    d = degree(g)
-    if kind == COMBINATORIAL:
-        mat = np.diag(d) - g.weights
-    else:
-        mat = np.eye(g.n) - degree_scaled(g.weights, d)
+def laplacian(g: ViewGraph) -> np.ndarray:
+    """The combinatorial (unnormalized) laplacian D - W, read-only."""
+    mat = np.diag(degree(g)) - g.weights
     mat.setflags(write=False)
-    return Laplacian(matrix=mat, kind=kind)
+    return mat
 
 
 def cut_cost(g: ViewGraph, p: Partition, cluster: int) -> float:

@@ -1,9 +1,9 @@
-"""Joint diagonalization of normalized Laplacians.
+"""Joint diagonalization of normalized laplacians.
 
 One orthogonal basis is rotated to approximately diagonalize every view's
-symmetric-normalized Laplacian at once, by cyclic Jacobi sweeps over index
-pairs in the round-robin parallel ordering (Brent & Luk, 1985), where each
-step rotates a set of disjoint pairs at once.  Each rotation angle is chosen
+symmetric-normalized laplacian I - D^(-1/2) W D^(-1/2) at once, by cyclic
+Jacobi sweeps over index pairs in the round-robin parallel ordering (Brent &
+Luk, 1985), where each step rotates a set of disjoint pairs at once.  Each rotation angle is chosen
 in closed form (Cardoso & Souloumiac, 1996) to minimize the pooled squared
 off-diagonal contribution of its 2x2 subproblem across all views.  Rotations
 within a step act on disjoint index pairs, so they commute and the total
@@ -26,8 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Embedding, fix_column_signs
-from .errors import DimensionError, DimensionMismatch, IsolatedVertex, NotOrthogonal, NotSymmetric
-from .graphs import SYMMETRIC_NORMALIZED, laplacian
+from .errors import (
+    DimensionError,
+    DimensionMismatch,
+    InvalidWeights,
+    IsolatedVertex,
+    NotOrthogonal,
+    NotSymmetric,
+)
+from .graphs import degree, degree_scaled
 from .multiview import MultiViewSet
 
 # Pairs whose pooled squared off-diagonal mass is below this fraction of the
@@ -61,21 +68,38 @@ class JointDiagonalizer:
     converged: bool
 
 
-def off_cost(matrices, basis) -> float:
-    """Pooled squared off-diagonal energy of the rotated matrices.
+def _square_family(matrices) -> np.ndarray:
+    """Stack a family of matrices as an (m, n, n) float64 array.
 
     Raises:
-        DimensionMismatch: matrices are not all square of one size, or the
-            basis does not match.
-        NotOrthogonal: basis deviates from orthogonality beyond 1e-8.
+        DimensionMismatch: no matrix, or not all nonempty square of one size.
+        InvalidWeights: some entry is not finite.
     """
     mats = [np.asarray(a, dtype=np.float64) for a in matrices]
     if not mats:
         raise DimensionMismatch("need at least one matrix")
-    n = mats[0].shape[0]
+    shape = mats[0].shape
     for i, a in enumerate(mats):
-        if a.ndim != 2 or a.shape != (n, n):
-            raise DimensionMismatch(f"matrix {i} has shape {a.shape}, expected ({n}, {n})")
+        if a.ndim != 2 or a.shape != shape or not 0 < a.shape[0] == a.shape[1]:
+            raise DimensionMismatch(
+                f"matrix {i} has shape {a.shape}; expected nonempty square matrices of one size")
+    stack = np.stack(mats)
+    if not np.all(np.isfinite(stack)):
+        raise InvalidWeights("matrix family contains non-finite entries")
+    return stack
+
+
+def off_cost(matrices, basis) -> float:
+    """Pooled squared off-diagonal energy of the rotated matrices.
+
+    Raises:
+        DimensionMismatch: no matrix, matrices not all nonempty square of
+            one size, or a basis that does not match.
+        InvalidWeights: some entry of a matrix is not finite.
+        NotOrthogonal: basis deviates from orthogonality beyond 1e-8.
+    """
+    mats = _square_family(matrices)
+    n = mats.shape[1]
     q = np.asarray(basis, dtype=np.float64)
     if q.shape != (n, n):
         raise DimensionMismatch(f"basis has shape {q.shape}, expected ({n}, {n})")
@@ -176,10 +200,14 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     rotated stack, which equals it up to rounding.  Odd n is padded with a
     zero index whose pairs are always the identity and which is dropped at
     the end.
+
+    Raises:
+        DimensionMismatch: no matrix, or not all nonempty square of one size.
+        InvalidWeights: some entry is not finite.
+        NotSymmetric: some matrix is asymmetric beyond 1e-8 of the largest
+            entry.
     """
-    stack = np.stack([np.asarray(a, dtype=np.float64) for a in matrices])
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"expected a family of square matrices, got {stack.shape}")
+    stack = _square_family(matrices)
     n = stack.shape[1]
     scale = float(np.abs(stack).max())
     asym = float(np.abs(stack - np.transpose(stack, (0, 2, 1))).max())
@@ -273,7 +301,9 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
 
 def joint_diagonalize(set_: MultiViewSet, tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagonalizer:
-    """Jointly diagonalize the symmetric-normalized Laplacians of all views.
+    """Jointly diagonalize the symmetric-normalized laplacians of all views.
+
+    View ``g`` contributes ``I - degree_scaled(g.weights, degree(g))``.
 
     Raises:
         IsolatedVertex: some view has a zero-degree vertex.
@@ -281,7 +311,7 @@ def joint_diagonalize(set_: MultiViewSet, tol: float = DEFAULT_TOL,
     matrices = []
     for i, g in enumerate(set_.views):
         try:
-            matrices.append(laplacian(g, kind=SYMMETRIC_NORMALIZED).matrix)
+            matrices.append(np.eye(g.n) - degree_scaled(g.weights, degree(g)))
         except IsolatedVertex as exc:
             raise IsolatedVertex(exc.index, detail=f" in view {i}") from exc
     return joint_diagonalize_matrices(matrices, tol=tol, max_sweeps=max_sweeps)

@@ -3,8 +3,8 @@
 A collection of graphs sharing a vertex set is clustered through one
 aggregate graph, a ``ViewGraph`` whose affinity matrix is the convex
 combination of the per-view matrices under a weight vector on the simplex.
-The aggregate is embedded exactly as a single view is, through its
-combinatorial Laplacian and the pencil solve.  Weights come from one of:
+The aggregate is embedded exactly as a single view is, by
+``generalized_eig`` of the graph.  Weights come from one of:
 
 * ``mvsc_weights``  - uniform 1/m,
 * ``mvscw_weights`` - inverse of each view's relaxed partition cost (the sum
@@ -29,7 +29,7 @@ from .errors import (
     IsolatedVertex,
     LengthMismatch,
 )
-from .graphs import ViewGraph, degree, laplacian
+from .graphs import ViewGraph
 
 # Views never drop below this weight during the alternating optimization, so
 # a connected aggregate stays connected.
@@ -148,7 +148,7 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
     sums = np.empty(set_.m)
     for i, g in enumerate(set_.views):
         try:
-            values = generalized_eig(laplacian(g), degree(g), k).values
+            values = generalized_eig(g, k).values
         except IsolatedVertex as exc:
             raise IsolatedVertex(exc.index, detail=f" in view {i}") from exc
         sums[i] = values[1:k].sum()
@@ -170,7 +170,7 @@ def embed(set_: MultiViewSet, w: WeightVector, k: int,
     g = aggregate(set_, w)
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    emb = smallest_nontrivial(generalized_eig(laplacian(g), degree(g), k), k - 1)
+    emb = smallest_nontrivial(generalized_eig(g, k), k - 1)
     return Embedding(coords=emb.coords, eigenvalues=emb.eigenvalues, method=method)
 
 

@@ -192,6 +192,17 @@ class TestExitCodes:
         assert code == 4
         assert err.splitlines() == ["error: k=117 exceeds the n=116 vertices"]
 
+    def test_k_max_at_n_is_config_error(self, tmp_path, capsys):
+        family = tmp_path / "n12"
+        assert run_cli(["synth", "--n", 12, "--k-true", 3, "--m", 2, "--outdir", family,
+                        "--output", tmp_path / "synth.json"]) == 0
+        capsys.readouterr()
+        code = run_cli(["eigengap", "--manifest", family / "manifest.json",
+                        "--method", "mvsc", "--k-max", 12])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == ["error: k_max=12 is outside 1..11 for n=12 vertices"]
+
     def test_method_choices_are_the_method_table(self):
         for name, sub in subcommands().items():
             if "method" in option_dests(sub):

@@ -16,7 +16,6 @@ from mvspectral import (
     contingency_table,
     dice,
     kmeans,
-    match_permutation,
 )
 
 
@@ -297,10 +296,11 @@ class TestMatchPermutation:
     def test_cyclic_shift_recovered(self):
         a = np.array([1, 1, 2, 2, 3, 3])
         b = ((a % 3) + 1)  # 1->2, 2->3, 3->1
-        perm = match_permutation(a, b)
-        np.testing.assert_array_equal(perm, [2, 3, 1])
         counts = contingency_table(a, b)
+        perm, total = best_label_permutation(counts)
+        np.testing.assert_array_equal(perm, [2, 3, 1])
         assert counts[np.arange(3), perm - 1].sum() == 6
+        assert total == 6
 
     def test_hand_table(self):
         counts = np.array([[5, 0, 0], [0, 0, 4], [0, 6, 0]])
@@ -373,12 +373,14 @@ class TestMatchPermutation:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            match_permutation(np.array([1, 2]), np.array([1, 2, 1]))
+            contingency_table(np.array([1, 2]), np.array([1, 2, 1]))
         with pytest.raises(ShapeMismatch):
-            match_permutation(
+            contingency_table(
                 Labelling(assignment=np.array([1, 2]), k=2),
                 Labelling(assignment=np.array([1, 2]), k=3),
             )
+        with pytest.raises(ShapeMismatch):
+            best_label_permutation(np.ones((2, 3), dtype=int))
 
 
 class TestDice:

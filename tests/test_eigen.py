@@ -92,7 +92,7 @@ class TestSymEig:
 class TestGeneralizedEig:
     def test_single_edge(self):
         g = graph_of([[0, 1], [1, 0]])
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         np.testing.assert_allclose(sol.values, [0.0, 2.0], atol=1e-14)
         first = sol.vectors[:, 0]
         assert first[0] == pytest.approx(first[1], rel=1e-12)
@@ -102,12 +102,12 @@ class TestGeneralizedEig:
         for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
             w[a, b] = w[b, a] = 1.0
         g = graph_of(w)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         assert np.sum(sol.values < 1e-8 * sol.values[-1]) == 2
 
     def test_cycle_spectrum_oracle(self):
         g = unit_cycle(4)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         expected = sorted(1.0 - math.cos(2.0 * math.pi * j / 4) for j in range(4))
         np.testing.assert_allclose(sol.values, expected, atol=1e-12)
 
@@ -115,7 +115,7 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(5)
         g = random_connected(rng, 11)
         d = degree(g)
-        sol = generalized_eig(laplacian(g), d)
+        sol = generalized_eig(g)
         gram = sol.vectors.T @ (d[:, None] * sol.vectors)
         assert np.abs(gram - np.eye(11)).max() <= 1e-8
 
@@ -124,8 +124,8 @@ class TestGeneralizedEig:
         g = random_connected(rng, 9)
         d = degree(g)
         lap = laplacian(g)
-        sol = generalized_eig(lap, d)
-        resid = lap.matrix @ sol.vectors - (d[:, None] * sol.vectors) * sol.values[None, :]
+        sol = generalized_eig(g)
+        resid = lap @ sol.vectors - (d[:, None] * sol.vectors) * sol.values[None, :]
         assert np.abs(resid).max() <= 1e-8 * max(sol.values[-1], 1.0)
 
     def test_back_substitution_consistency(self):
@@ -133,9 +133,9 @@ class TestGeneralizedEig:
         g = random_connected(rng, 8)
         d = degree(g)
         lap = laplacian(g)
-        sol = generalized_eig(lap, d)
+        sol = generalized_eig(g)
         inv_sqrt = 1.0 / np.sqrt(d)
-        reduced = lap.matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
+        reduced = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
         y = np.sqrt(d)[:, None] * sol.vectors
         resid = reduced @ y - y * sol.values[None, :]
         assert np.abs(resid).max() <= 1e-9 * max(sol.values[-1], 1.0)
@@ -144,7 +144,7 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(8)
         for _ in range(50):
             g = random_connected(rng, int(rng.integers(3, 12)))
-            values = generalized_eig(laplacian(g), degree(g)).values
+            values = generalized_eig(g).values
             assert values[0] >= -1e-9
             assert values[-1] <= 2.0 + 1e-9
 
@@ -152,10 +152,9 @@ class TestGeneralizedEig:
         rng = np.random.default_rng(14)
         for n in range(3, 13):
             g = random_connected(rng, n)
-            lap, d = laplacian(g), degree(g)
-            full = generalized_eig(lap, d)
+            full = generalized_eig(g)
             for count in range(1, n + 1):
-                part = generalized_eig(lap, d, count)
+                part = generalized_eig(g, count)
                 assert part.values.shape == (count,)
                 assert part.vectors.shape == (n, count)
                 np.testing.assert_allclose(part.values, full.values[:count], rtol=0, atol=1e-12)
@@ -166,27 +165,27 @@ class TestGeneralizedEig:
     def test_count_outside_one_to_n(self, count):
         g = random_connected(np.random.default_rng(15), 5)
         with pytest.raises(DimensionError):
-            generalized_eig(laplacian(g), degree(g), count)
+            generalized_eig(g, count)
 
     def test_isolated_vertex(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         g = graph_of(w)
         with pytest.raises(IsolatedVertex):
-            generalized_eig(laplacian(g), degree(g))
+            generalized_eig(g)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         g = random_connected(rng, 10)
-        s1 = generalized_eig(laplacian(g), degree(g))
-        s2 = generalized_eig(laplacian(g), degree(g))
+        s1 = generalized_eig(g)
+        s2 = generalized_eig(g)
         assert s1.vectors.tobytes() == s2.vectors.tobytes()
 
 
 class TestSmallestNontrivial:
     def test_cycle_single_column(self):
         g = unit_cycle(4)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         emb = smallest_nontrivial(sol, 1)
         np.testing.assert_allclose(emb.eigenvalues, [1.0], atol=1e-12)
         assert emb.coords.shape == (4, 1)
@@ -194,7 +193,7 @@ class TestSmallestNontrivial:
     def test_full_boundary(self):
         rng = np.random.default_rng(10)
         g = random_connected(rng, 7)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         emb = smallest_nontrivial(sol, 6)
         assert emb.coords.shape == (7, 6)
         np.testing.assert_array_equal(emb.eigenvalues, sol.values[1:])
@@ -202,7 +201,7 @@ class TestSmallestNontrivial:
     def test_count_out_of_range(self):
         rng = np.random.default_rng(11)
         g = random_connected(rng, 5)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         with pytest.raises(DimensionError):
             smallest_nontrivial(sol, 5)
 
@@ -211,7 +210,7 @@ class TestSmallestNontrivial:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         g = graph_of(w)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         with pytest.raises(DisconnectedGraph) as info:
             smallest_nontrivial(sol, 1)
         assert info.value.zero_multiplicity == 2
@@ -226,7 +225,7 @@ class TestSmallestNontrivial:
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 0.0)
         g = graph_of(w)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         emb = smallest_nontrivial(sol, 1)
         labels = np.where(emb.coords[:, 0] > 0, 1, 2)
 
@@ -252,12 +251,12 @@ class TestSmallestNontrivial:
             g = random_connected(rng, n)
             d = degree(g)
             lap = laplacian(g)
-            sol = generalized_eig(lap, d)
+            sol = generalized_eig(g)
             count = int(rng.integers(1, n - 1))
             emb = smallest_nontrivial(sol, count)
             y = emb.coords
             trace = np.trace(
-                y.T @ lap.matrix @ y @ np.linalg.inv(y.T @ (d[:, None] * y))
+                y.T @ lap @ y @ np.linalg.inv(y.T @ (d[:, None] * y))
             )
             total = emb.eigenvalues.sum()
             assert trace == pytest.approx(total, rel=1e-8, abs=1e-10)

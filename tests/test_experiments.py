@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,16 @@ from mvspectral import (
     InsufficientViews,
     InvalidSpec,
     Labelling,
+    METHODS,
     MultiViewSet,
     SyntheticSpec,
     ViewGraph,
     compute_embedding,
     consistency_experiment,
-    degree,
     dice,
     eigengap_report,
     embed,
     generalized_eig,
-    laplacian,
     run_pipeline,
     synth_views,
     timing_experiment,
@@ -47,7 +48,7 @@ class TestEigengapReport:
         np.fill_diagonal(w, 0.0)
         g = ViewGraph.from_weights(w)
         report = eigengap_report(MultiViewSet([g]), "mvsc", k_max=5)
-        sol = generalized_eig(laplacian(g), degree(g))
+        sol = generalized_eig(g)
         np.testing.assert_allclose(report.values, sol.values[1:6], rtol=1e-12)
 
     def test_noise_free_blocks_surface_disconnection(self):
@@ -215,6 +216,54 @@ class TestTimingExperiment:
         assert result.blas_threads_pinned is False
         assert result.seconds["mvsc"][2]["mean"] > 0.0
 
+    @staticmethod
+    def _fake_threadpoolctl(monkeypatch, pools):
+        """Install a fake threadpoolctl reporting ``pools``; returns its requests."""
+        requested = []
+
+        @contextlib.contextmanager
+        def limits(limits=None):
+            requested.append(limits)
+            yield
+
+        monkeypatch.setattr(experiments, "threadpool_info",
+                            lambda: [{"user_api": api} for api in pools])
+        monkeypatch.setattr(experiments, "threadpool_limits", limits)
+        return requested
+
+    def test_threadpoolctl_route_pins_without_ctypes(self, planted_small, monkeypatch):
+        requested = self._fake_threadpoolctl(monkeypatch, ["openmp", "blas"])
+
+        def untouched():
+            raise AssertionError("ctypes controls reached on the threadpoolctl route")
+
+        monkeypatch.setattr(experiments, "_openblas_thread_controls", untouched)
+        views, _ = planted_small
+        result = timing_experiment(views, ["mvsc"], k=3, group_sizes=[2], trials=1)
+        assert result.blas_threads_pinned is True
+        assert requested == [1]
+
+    def test_threadpoolctl_without_blas_pool_falls_through_to_ctypes(self, planted_small,
+                                                                     monkeypatch):
+        requested = self._fake_threadpoolctl(monkeypatch, ["openmp"])
+        threads = [4]
+        controls = [(lambda: threads[0], lambda count: threads.__setitem__(0, count))]
+        monkeypatch.setattr(experiments, "_openblas_thread_controls", lambda: controls)
+        seen = []
+        real = experiments.compute_embedding
+
+        def spy(*args, **kwargs):
+            seen.append(threads[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "compute_embedding", spy)
+        views, _ = planted_small
+        result = timing_experiment(views, ["mvsc"], k=3, group_sizes=[2], trials=1)
+        assert result.blas_threads_pinned is True
+        assert requested == []
+        assert seen and set(seen) == {1}
+        assert threads == [4]
+
 
 class TestRunPipeline:
     def test_mvscw_identical_views_uniform_weights(self):
@@ -275,6 +324,28 @@ class TestRunPipeline:
         assert emb.method == "jdl"
         emb, weights = compute_embedding(views, "aasc", truth.k)
         assert abs(weights.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k_max, weight_k, message", [
+    (0, None, "k_max=0 is outside 1..39"),
+    (40, None, "k_max=40 is outside 1..39"),
+    (3, 1, "weight_k=1 is outside 2..40"),
+    (3, 41, "weight_k=41 is outside 2..40"),
+], ids=["k-max-zero", "k-max-n", "weight-k-one", "weight-k-above-n"])
+@pytest.mark.parametrize("method", METHODS)
+def test_eigengap_sizes_are_config_errors_before_any_solve(planted_small, monkeypatch, method,
+                                                          k_max, weight_k, message):
+    views, _ = planted_small
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached before the size checks")
+
+    for name in ("embed", "mvsc_weights", "mvscw_weights", "aasc_weights",
+                 "joint_diagonalize"):
+        monkeypatch.setattr(experiments, name, no_solve)
+    with pytest.raises(InvalidSpec, match=message) as info:
+        eigengap_report(views, method, k_max, weight_k=weight_k)
+    assert info.value.exit_code == 4
 
 
 @pytest.mark.parametrize("entry", [

@@ -20,7 +20,7 @@ from mvspectral import (
     ncut_cost,
     volume,
 )
-from mvspectral.graphs import FISHER_CLAMP
+from mvspectral.graphs import FISHER_CLAMP, degree_scaled
 
 
 def random_graph(rng, n, density=1.0):
@@ -170,15 +170,21 @@ class TestDegree:
         np.testing.assert_allclose(degree(g), expected, rtol=1e-12)
 
 
+def normalized_laplacian(g):
+    return np.eye(g.n) - degree_scaled(g.weights, degree(g))
+
+
 class TestLaplacian:
     def test_single_edge_combinatorial(self):
         g = ViewGraph.from_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(laplacian(g).matrix, [[1.0, -1.0], [-1.0, 1.0]])
+        lap = laplacian(g)
+        np.testing.assert_array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
+        assert not lap.flags.writeable
 
     def test_single_edge_normalized_equals_combinatorial(self):
         g = ViewGraph.from_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(
-            laplacian(g, "symmetric-normalized").matrix,
+            normalized_laplacian(g),
             [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15,
         )
 
@@ -187,24 +193,24 @@ class TestLaplacian:
         g = ViewGraph.from_weights(w)
         expected = np.eye(3) - 0.5 * (np.ones((3, 3)) - np.eye(3))
         np.testing.assert_allclose(
-            laplacian(g, "symmetric-normalized").matrix, expected, atol=1e-15
+            normalized_laplacian(g), expected, atol=1e-15
         )
 
     def test_combinatorial_row_sums_zero(self):
         g = random_graph(np.random.default_rng(3), 9)
-        sums = laplacian(g).matrix.sum(axis=1)
+        sums = laplacian(g).sum(axis=1)
         np.testing.assert_allclose(sums, 0.0, atol=1e-10)
 
     def test_annihilates_constants(self):
         g = random_graph(np.random.default_rng(4), 8)
-        np.testing.assert_allclose(laplacian(g).matrix @ np.ones(8), 0.0, atol=1e-10)
+        np.testing.assert_allclose(laplacian(g) @ np.ones(8), 0.0, atol=1e-10)
 
     def test_isolated_vertex_blocks_normalization(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         g = ViewGraph.from_weights(w)
         with pytest.raises(IsolatedVertex) as info:
-            laplacian(g, "symmetric-normalized")
+            normalized_laplacian(g)
         assert info.value.index == 2
 
     def test_psd_over_many_random_graphs(self):
@@ -212,13 +218,8 @@ class TestLaplacian:
         for _ in range(1000):
             n = int(rng.integers(2, 10))
             g = random_graph(rng, n, density=float(rng.uniform(0.3, 1.0)))
-            values = np.linalg.eigvalsh(laplacian(g).matrix)
+            values = np.linalg.eigvalsh(laplacian(g))
             assert values[0] >= -1e-8 * max(values[-1], 1.0)
-
-    def test_unknown_kind(self):
-        g = unit_cycle()
-        with pytest.raises(ValueError):
-            laplacian(g, "rw-normalized")
 
 
 class TestPartition:
@@ -265,7 +266,7 @@ class TestCutCost:
             labels[0], labels[1] = 1, 2
             p = Partition(assignment=labels, k=2)
             x = (p.assignment == 1).astype(float)
-            lap = laplacian(g).matrix
+            lap = laplacian(g)
             assert cut_cost(g, p, 1) == pytest.approx(float(x @ lap @ x), rel=1e-10)
 
     def test_linearity_in_weights(self):
