@@ -44,7 +44,6 @@ from .eigen import (
     Embedding,
     generalized_eig,
     smallest_nontrivial,
-    sym_eig,
 )
 from .multiview import (
     MultiViewSet,

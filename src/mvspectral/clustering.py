@@ -2,9 +2,9 @@
 
 Embedding rows are clustered with seeded k-means++ / Lloyd iterations.  A
 consensus labelling runs many seeds, aligns every run to the first by the
-overlap-maximizing cluster permutation, and takes the per-vertex mode.  All
-comparisons between labellings go through that same permutation matching, so
-the reported Dice agreement is invariant to label renumbering.
+overlap-maximizing cluster permutation, and takes the per-vertex mode.  Dice
+between two labellings is their maximum agreement over all cluster matchings,
+so it is invariant to label renumbering.
 
 There is one Lloyd kernel, and it runs any number of seeds in lockstep: all
 seeds draw their k-means++ centroids in one vectorized pass, each from its own
@@ -14,8 +14,9 @@ an update leaves its centroids unchanged or returns those of two iterations
 back.  Every seed's labels and objective equal those of an independent
 single-seed run.  ``kmeans`` is that kernel with one seed.  A consensus
 aligns all its runs in one pass: every table whose optimal matching is plain
-from its row maxima is matched at once, and only the rest go through the
-tie-breaking assignment solves.
+from its row maxima is matched at once, and only the rest go through
+``best_label_permutation``, which fixes rows in order by k - 1 exact
+assignment solves and so picks the lexicographically smallest optimum.
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ class Labelling:
 
 
 def _labels_of(x) -> np.ndarray:
-    if hasattr(x, "assignment"):
-        return np.asarray(x.assignment, dtype=np.int64)
-    return np.asarray(x, dtype=np.int64)
+    labels = np.asarray(getattr(x, "assignment", x), dtype=np.int64)
+    if labels.ndim != 1:
+        raise ShapeMismatch(f"labels must be 1-d, got shape {labels.shape}")
+    if labels.min(initial=1) < 1:
+        raise ShapeMismatch(f"labels must be at least 1, got {labels.min()}")
+    return labels
 
 
 def _k_of(x, labels: np.ndarray) -> int:
@@ -261,6 +265,10 @@ def contingency_table(a, b) -> np.ndarray:
 
     Returns the int64 k x k array whose entry [i, j] counts the vertices
     labelled i+1 in ``a`` and j+1 in ``b``.
+
+    Raises:
+        ShapeMismatch: labels that are not 1-d or lie below 1, or labellings
+            of different lengths or k.
     """
     la, lb = _labels_of(a), _labels_of(b)
     if la.shape != lb.shape:
@@ -268,9 +276,8 @@ def contingency_table(a, b) -> np.ndarray:
     ka, kb = _k_of(a, la), _k_of(b, lb)
     if ka != kb:
         raise ShapeMismatch(f"labellings have k={ka} and k={kb}")
-    counts = np.zeros((ka, ka), dtype=np.int64)
-    np.add.at(counts, (la - 1, lb - 1), 1)
-    return counts
+    cells = (la - 1) * ka + (lb - 1)
+    return np.bincount(cells, minlength=ka * ka).reshape(ka, ka)
 
 
 def _max_agreement(counts: np.ndarray) -> int:
@@ -299,51 +306,46 @@ def best_label_permutation(counts: np.ndarray):
 
     Returns the lexicographically smallest permutation ``perm`` (1-based:
     ``perm[i-1]`` is the column matched to row i) among all maximizers,
-    together with the total agreement.  When every row has a strict maximum
-    and no two rows share its column, matching each row to that column is
-    the only maximizer (any other permutation loses in some row and gains in
-    none), and it is returned without an assignment solve.  Otherwise ties
-    are resolved by fixing rows in order to the smallest column that still
-    admits an optimal completion.
+    together with the total agreement.  Rows are fixed in order, each by one
+    assignment solve over the rows not yet fixed and the columns still free,
+    with cost ``-k * counts`` plus, on the row being fixed only, each free
+    column's rank among them.  A rank is below k, so it never outweighs one
+    unit of agreement: the solve keeps the optimum and gives the row the
+    smallest column that admits an optimal completion.  The last row takes
+    the column left, so a k x k table takes k - 1 solves, and the costs are
+    integers of magnitude at most k * n, exact in float64.
     """
     counts = np.asarray(counts, dtype=np.int64)
     k = counts.shape[0]
     if counts.shape != (k, k):
         raise ShapeMismatch(f"contingency table must be square, got {counts.shape}")
-    if k:
-        top, unique = _unique_row_maxima(counts[None])
-        if unique[0]:
-            return top[0] + 1, int(counts[np.arange(k), top[0]].sum())
-    best_total = _max_agreement(counts)
-    perm = np.zeros(k, dtype=np.int64)
-    remaining = list(range(k))
-    fixed = 0
-    for i in range(k):
-        for j in sorted(remaining):
-            rest_cols = [c for c in remaining if c != j]
-            rest = _max_agreement(counts[np.ix_(range(i + 1, k), rest_cols)]) if rest_cols else 0
-            if fixed + counts[i, j] + rest == best_total:
-                perm[i] = j + 1
-                remaining.remove(j)
-                fixed += counts[i, j]
-                break
-    return perm, best_total
+    perm = np.arange(k)
+    for i in range(k - 1):
+        cost = -k * counts[i:, perm[i:]]
+        cost[0] += np.arange(k - i)
+        # Rows come back in order, so cols[0] is row i's pick among the free columns;
+        # moving it to position i leaves the free columns after it ascending.
+        j = i + int(linear_sum_assignment(cost)[1][0])
+        perm[i:j + 1] = np.roll(perm[i:j + 1], 1)
+    return perm + 1, int(counts[np.arange(k), perm].sum())
 
 
 def dice(a, b) -> float:
     """Matched-label Dice agreement between two labellings in [0, 1].
 
     After the overlap-maximizing permutation, Dice is
-    2 * sum_i |A_i & B_pi(i)| / sum_i (|A_i| + |B_pi(i)|); for two full
-    partitions of the same vertices this equals the fraction of agreeing
-    labels.
+    2 * sum_i |A_i & B_pi(i)| / sum_i (|A_i| + |B_pi(i)|).  Both labellings
+    partition the same n vertices, so the denominator is 2n and Dice is the
+    maximum agreement over n: one assignment solve, no permutation.
+
+    Raises:
+        ShapeMismatch: as ``contingency_table``, or labellings with no vertex.
     """
     counts = contingency_table(a, b)
-    perm, agreement = best_label_permutation(counts)
-    sizes_a = counts.sum(axis=1)
-    sizes_b = counts.sum(axis=0)
-    denom = float(sizes_a.sum() + sizes_b[perm - 1].sum())
-    return 2.0 * agreement / denom
+    n = int(counts.sum())
+    if n == 0:
+        raise ShapeMismatch("labellings have no vertex")
+    return _max_agreement(counts) / n
 
 
 def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
@@ -356,11 +358,11 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     centroids unchanged or returns those of two iterations back, or after
     ``KMEANS_MAX_ITER`` iterations, with labels identical to ``kmeans`` run
     once per seed.  Each run is aligned to the first before the per-vertex
-    vote, in one pass over all their contingency tables: a table whose every row has a strict maximum in its
-    own column is matched by those maxima, its only optimum, and only the
-    other tables call ``best_label_permutation``.  Ties go to the lowest
-    cluster id.  Cluster ids that win no vertex are reported in the
-    metadata, not repaired.
+    vote, in one pass over all their contingency tables: a table whose
+    every row has a strict maximum in its own column is matched by those
+    maxima, its only optimum, and only the other tables call
+    ``best_label_permutation``.  Ties go to the lowest cluster id.  Cluster
+    ids that win no vertex are reported in the metadata, not repaired.
     """
     if num_seeds < 1:
         raise TooFewPoints(f"need at least one seed, got {num_seeds}")

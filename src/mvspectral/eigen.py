@@ -1,4 +1,4 @@
-"""Dense symmetric and generalized eigendecomposition.
+"""Generalized eigendecomposition of a graph's pencil (L, D).
 
 The generalized problem L x = lambda D x with diagonal positive D is reduced
 to an ordinary symmetric problem on D^(-1/2) L D^(-1/2) and back-substituted,
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DisconnectedGraph, NoConvergence, NotSymmetric
+from .errors import DimensionError, DisconnectedGraph, InvalidView, NoConvergence
 from .graphs import ViewGraph, degree, degree_scaled, laplacian
-
-SYMMETRY_RTOL = 1e-8
 
 # Every eigenvalue of a graph's pencil (L, D) lies in [0, 2]; eigenvalues
 # below ZERO_TOL_FACTOR times that bound count as "trivial" zeros.
@@ -61,33 +59,6 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return v * signs[None, :]
 
 
-def sym_eig(a) -> EigenPairs:
-    """Full eigendecomposition of a dense symmetric matrix.
-
-    Deterministic for bit-identical input.  Eigenvalues ascend; eigenvectors
-    are orthonormal with the fixed sign convention applied.
-
-    Raises:
-        NotSymmetric: asymmetry beyond 1e-8 relative to the largest entry.
-        NoConvergence: the underlying solver failed.
-    """
-    mat = np.asarray(a, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"matrix must be square, got {mat.shape}")
-    scale = float(np.abs(mat).max())
-    if scale > 0 and float(np.abs(mat - mat.T).max()) > SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"asymmetry exceeds {SYMMETRY_RTOL:.0e} of scale")
-    sym = 0.5 * (mat + mat.T)
-    try:
-        values, vectors = scipy.linalg.eigh(sym)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise NoConvergence(str(exc)) from exc
-    vectors = fix_column_signs(vectors)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenPairs(values=values, vectors=vectors)
-
-
 def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
     """Smallest ``count`` eigenpairs of the pencil (L, D) of ``g`` (all n when None).
 
@@ -95,9 +66,12 @@ def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
     requested eigenpairs are computed.
 
     Raises:
+        InvalidView: ``g`` is not a ``ViewGraph``.
         DimensionError: ``count`` is outside 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
+    if not isinstance(g, ViewGraph):
+        raise InvalidView(f"expected a ViewGraph, got {type(g).__name__}")
     d = degree(g)
     if count is not None and not 1 <= count <= g.n:
         raise DimensionError(f"count must be in 1..{g.n}, got {count}")

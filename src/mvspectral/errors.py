@@ -31,7 +31,10 @@ class DimensionMismatch(MVSpectralError):
 
 
 class ShapeMismatch(MVSpectralError):
-    """Two labellings being compared differ in length or cluster count."""
+    """Labels are not 1-d or lie outside 1..k, or labellings differ in length or k.
+
+    Also raised by ``dice`` for labellings with no vertex.
+    """
 
     exit_code = EXIT_INPUT
 
@@ -94,7 +97,7 @@ class InvalidTimeSeries(MVSpectralError, ValueError):
 
 
 class InvalidView(MVSpectralError, TypeError):
-    """A view collection holds an object that is not a ``ViewGraph``.
+    """An object that is not a ``ViewGraph`` is given as a view or a graph to solve.
 
     Also a ``TypeError``, so callers that catch that keep working.
     """

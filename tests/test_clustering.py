@@ -145,6 +145,20 @@ def blob_points(rng, centers, per_blob, sigma):
 LOCKSTEP_FAMILIES = list(lockstep_families())
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Shapes of the cost matrices passed to ``linear_sum_assignment``, call by call."""
+    calls = []
+    real = clustering.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return real(cost)
+
+    monkeypatch.setattr(clustering, "linear_sum_assignment", counting)
+    return calls
+
+
 class TestKmeans:
     def test_single_cluster_objective_is_scatter(self):
         rng = np.random.default_rng(0)
@@ -311,12 +325,16 @@ class TestMatchPermutation:
         np.testing.assert_array_equal(perm, oracle_perm)
         assert agreement == oracle_total
 
-    def test_matches_exhaustive_on_random_tables(self):
+    def test_matches_exhaustive_on_random_tables(self, solves):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            k = int(rng.integers(2, 7))
-            counts = rng.integers(0, 12, size=(k, k))
+        spread = [(int(rng.integers(2, 7)), 12) for _ in range(200)]
+        # Entries in 0..2 tie many rows and many optimal matchings.
+        tie_heavy = [(int(rng.integers(2, 8)), 3) for _ in range(200)]
+        for k, high in spread + tie_heavy:
+            counts = rng.integers(0, high, size=(k, k))
+            solves.clear()
             perm, total = best_label_permutation(counts)
+            assert len(solves) <= k - 1
             oracle_perm, oracle_total = exhaustive_best_permutation(counts)
             assert total == oracle_total
             np.testing.assert_array_equal(perm, oracle_perm)
@@ -327,28 +345,13 @@ class TestMatchPermutation:
         np.testing.assert_array_equal(perm, [1, 2, 3])
         assert total == 3
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        real = clustering.linear_sum_assignment
-
-        def counting(cost):
-            calls.append(cost.shape)
-            return real(cost)
-
-        monkeypatch.setattr(clustering, "linear_sum_assignment", counting)
-        return calls
-
     def test_fast_path_on_permuted_diagonal_dominant_tables(self, solves):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            k = int(rng.integers(2, 7))
-            counts = rng.integers(0, 5, size=(k, k))
-            counts[np.arange(k), rng.permutation(k)] += 10
-            perm, total = best_label_permutation(counts)
-            oracle_perm, oracle_total = exhaustive_best_permutation(counts)
-            np.testing.assert_array_equal(perm, oracle_perm)
-            assert total == oracle_total
+        # Blobs 10 apart with spread 0.3 give every run the same clusters, so
+        # each table with the first is a permuted diagonal; consensus matches
+        # them by their row maxima and never calls the matcher.
+        pts, _ = blob_points(np.random.default_rng(11), [(0, 0), (10, 0), (0, 10), (10, 10)],
+                             8, sigma=0.3)
+        consensus_labelling(pts, k=4, num_seeds=40, base_seed=1)
         assert solves == []
 
     @pytest.mark.parametrize("counts", [
@@ -415,8 +418,28 @@ class TestDice:
         a = rng.integers(1, 4, size=30)
         b = rng.integers(1, 4, size=30)
         counts = contingency_table(a, b)
-        perm, agreement = best_label_permutation(counts)
-        assert dice(a, b) == pytest.approx(agreement / 30.0, rel=1e-15)
+        _, agreement = best_label_permutation(counts)
+        assert dice(a, b) == agreement / 30.0
+
+    def test_one_assignment_solve(self, solves):
+        rng = np.random.default_rng(16)
+        for k in range(1, 7):
+            a, b = rng.integers(1, k + 1, size=(2, 20))
+            a[0] = b[0] = k
+            solves.clear()
+            dice(a, b)
+            assert solves == [(k, k)]
+
+    @pytest.mark.parametrize("a, b", [
+        ([0, 1, 1], [1, 1, 1]),
+        ([-1, 2, 2], [1, 2, 2]),
+        ([[1, 2], [2, 1]], [[1, 2], [1, 2]]),
+        ([], []),
+    ], ids=["zero-id", "negative-id", "2-d", "no-vertex"])
+    def test_bad_labels_rejected(self, a, b):
+        with pytest.raises(ShapeMismatch) as info:
+            dice(np.asarray(a), np.asarray(b))
+        assert info.value.exit_code == 2
 
 
 class TestConsensusLabelling:

@@ -7,7 +7,6 @@ from mvspectral import (
     DimensionError,
     DisconnectedGraph,
     IsolatedVertex,
-    NotSymmetric,
     Partition,
     ViewGraph,
     degree,
@@ -15,7 +14,6 @@ from mvspectral import (
     laplacian,
     ncut_cost,
     smallest_nontrivial,
-    sym_eig,
 )
 
 
@@ -35,58 +33,6 @@ def random_connected(rng, n):
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     return graph_of(w)
-
-
-class TestSymEig:
-    def test_identity(self):
-        pairs = sym_eig(np.eye(3))
-        np.testing.assert_allclose(pairs.values, [1.0, 1.0, 1.0])
-
-    def test_two_by_two(self):
-        pairs = sym_eig(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        np.testing.assert_allclose(pairs.values, [0.0, 2.0], atol=1e-14)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(10, 10))
-        a = 0.5 * (a + a.T)
-        pairs = sym_eig(a)
-        rebuilt = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-        np.testing.assert_allclose(rebuilt, a, rtol=0, atol=1e-9 * np.abs(a).max())
-
-    def test_orthonormal(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(12, 12))
-        a = a + a.T
-        pairs = sym_eig(a)
-        gram = pairs.vectors.T @ pairs.vectors
-        assert np.abs(gram - np.eye(12)).max() <= 1e-9
-
-    def test_values_ascending(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(9, 9))
-        pairs = sym_eig(a + a.T)
-        assert np.all(np.diff(pairs.values) >= 0)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(8, 8))
-        pairs = sym_eig(a + a.T)
-        for j in range(8):
-            col = pairs.vectors[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            sym_eig(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(15, 15))
-        a = a + a.T
-        p1, p2 = sym_eig(a), sym_eig(a)
-        assert p1.values.tobytes() == p2.values.tobytes()
-        assert p1.vectors.tobytes() == p2.vectors.tobytes()
 
 
 class TestGeneralizedEig:
@@ -173,6 +119,13 @@ class TestGeneralizedEig:
         g = graph_of(w)
         with pytest.raises(IsolatedVertex):
             generalized_eig(g)
+
+    def test_sign_convention(self):
+        rng = np.random.default_rng(3)
+        g = random_connected(rng, 8)
+        for sol in (generalized_eig(g), generalized_eig(g, 3)):
+            for col in sol.vectors.T:
+                assert col[np.argmax(np.abs(col))] > 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -16,6 +16,7 @@ from mvspectral import (
     NotOrthogonal,
     ViewGraph,
     WeightVector,
+    generalized_eig,
     graph_from_timeseries,
     joint_diagonalize_matrices,
     off_cost,
@@ -37,6 +38,7 @@ def series_with_nan():
 @pytest.mark.parametrize("call, error, builtin, exit_code", [
     (lambda: graph_from_timeseries(series_with_nan()), InvalidTimeSeries, ValueError, 2),
     (lambda: MultiViewSet([triangle(), np.ones((3, 3))]), InvalidView, TypeError, 2),
+    (lambda: generalized_eig(np.eye(3)), InvalidView, TypeError, 2),
     (lambda: WeightVector(np.array([1.5, -0.5])), InvalidWeightVector, ValueError, 4),
     (lambda: WeightVector(np.array([0.3, 0.3])), InvalidWeightVector, ValueError, 4),
     (lambda: off_cost([np.eye(3)], 2.0 * np.eye(3)), NotOrthogonal, ValueError, 2),
@@ -44,7 +46,7 @@ def series_with_nan():
     (lambda: joint_diagonalize_matrices([np.eye(2), np.eye(3)]), DimensionMismatch, Exception, 2),
     (lambda: joint_diagonalize_matrices([np.eye(3), np.full((3, 3), np.nan)]),
      InvalidWeights, ValueError, 2),
-], ids=["timeseries-nonfinite", "view-type", "weights-negative", "weights-sum",
+], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
         "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
