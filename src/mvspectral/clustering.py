@@ -50,10 +50,10 @@ class Labelling:
     aligned_to_first: bool = True
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = _labels_of(self.assignment)
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
-        if a.min(initial=1) < 1 or a.max(initial=self.k) > self.k:
+        if a.max(initial=self.k) > self.k:
             raise ShapeMismatch(f"labels must lie in 1..{self.k}")
 
     @property
@@ -62,9 +62,16 @@ class Labelling:
 
 
 def _labels_of(x) -> np.ndarray:
-    labels = np.asarray(getattr(x, "assignment", x), dtype=np.int64)
-    if labels.ndim != 1:
-        raise ShapeMismatch(f"labels must be 1-d, got shape {labels.shape}")
+    """int64 labels; ``ShapeMismatch`` unless 1-d whole numbers of at least 1."""
+    raw = np.asarray(getattr(x, "assignment", x))
+    if raw.ndim != 1:
+        raise ShapeMismatch(f"labels must be 1-d, got shape {raw.shape}")
+    if raw.dtype.kind not in "biuf":
+        raise ShapeMismatch(f"labels must be whole numbers, got dtype {raw.dtype}")
+    with np.errstate(invalid="ignore"):
+        labels = raw.astype(np.int64, copy=False)
+    if not np.array_equal(labels, raw):
+        raise ShapeMismatch("labels must be whole numbers")
     if labels.min(initial=1) < 1:
         raise ShapeMismatch(f"labels must be at least 1, got {labels.min()}")
     return labels
@@ -267,8 +274,8 @@ def contingency_table(a, b) -> np.ndarray:
     labelled i+1 in ``a`` and j+1 in ``b``.
 
     Raises:
-        ShapeMismatch: labels that are not 1-d or lie below 1, or labellings
-            of different lengths or k.
+        ShapeMismatch: labels that are not 1-d, not whole numbers or below 1,
+            or labellings of different lengths or k.
     """
     la, lb = _labels_of(a), _labels_of(b)
     if la.shape != lb.shape:

@@ -31,7 +31,7 @@ class DimensionMismatch(MVSpectralError):
 
 
 class ShapeMismatch(MVSpectralError):
-    """Labels are not 1-d or lie outside 1..k, or labellings differ in length or k.
+    """Labels are not 1-d whole numbers in 1..k, or labellings differ in length or k.
 
     Also raised by ``dice`` for labellings with no vertex.
     """
@@ -183,6 +183,6 @@ class InsufficientViews(MVSpectralError):
 
 
 class InvalidSpec(MVSpectralError):
-    """A synthetic-data specification violates its own constraints."""
+    """A setting is out of range: synthetic data, an experiment, or jdl's sweeps or tol."""
 
     exit_code = EXIT_CONFIG

@@ -3,9 +3,10 @@
 One orthogonal basis is rotated to approximately diagonalize every view's
 symmetric-normalized laplacian I - D^(-1/2) W D^(-1/2) at once, by cyclic
 Jacobi sweeps over index pairs in the round-robin parallel ordering (Brent &
-Luk, 1985), where each step rotates a set of disjoint pairs at once.  Each rotation angle is chosen
-in closed form (Cardoso & Souloumiac, 1996) to minimize the pooled squared
-off-diagonal contribution of its 2x2 subproblem across all views.  Rotations
+Luk, 1985), where each step rotates a set of disjoint pairs at once.  Each
+rotation angle minimizes the pooled squared off-diagonal contribution of its
+2x2 subproblem across all views (Cardoso & Souloumiac, 1996): a step's angles
+come from one pooled Gram ``np.einsum`` and one ``np.arctan2``.  Rotations
 within a step act on disjoint index pairs, so they commute and the total
 off-diagonal energy still never increases.  Vertex embeddings are read off
 the basis columns ranked by mean diagonal value.
@@ -29,6 +30,7 @@ from .eigen import Embedding, fix_column_signs
 from .errors import (
     DimensionError,
     DimensionMismatch,
+    InvalidSpec,
     InvalidWeights,
     IsolatedVertex,
     NotOrthogonal,
@@ -105,17 +107,14 @@ def off_cost(matrices, basis) -> float:
         raise DimensionMismatch(f"basis has shape {q.shape}, expected ({n}, {n})")
     if float(np.abs(q.T @ q - np.eye(n)).max()) > 1e-8:
         raise NotOrthogonal("basis is not orthogonal within 1e-8")
-    total = 0.0
-    for a in mats:
-        rotated = q.T @ a @ q
-        total += float((rotated * rotated).sum() - (rotated.diagonal() ** 2).sum())
-    return total
+    return _off_total((q.T @ mats @ q).transpose(1, 2, 0))
 
 
 def _off_total(stack: np.ndarray) -> float:
     """Pooled off-diagonal energy of an (n, n, m) stack."""
     diag = stack[np.arange(stack.shape[0]), np.arange(stack.shape[1])]
-    return float((stack * stack).sum() - (diag * diag).sum())
+    # Total less diagonal mass can round below zero; a sum of squares cannot.
+    return max(0.0, float((stack * stack).sum() - (diag * diag).sum()))
 
 
 def _round_robin_schedule(n: int) -> list:
@@ -141,30 +140,22 @@ def _round_robin_schedule(n: int) -> list:
     return steps
 
 
-def _principal_rotation(g11: np.ndarray, g12: np.ndarray, g22: np.ndarray):
-    """Cosine/sine of the angles minimizing the pooled 2x2 off-diagonal mass.
+def _rotations(forms: np.ndarray, skip_threshold: float) -> np.ndarray:
+    """One step's pooled Jacobi rotations as an (h, 2, 2) batch [[c, s], [-s, c]].
 
-    Vectorized over pairs: (cos 2t, sin 2t) is the principal unit
-    eigenvector of each accumulated 2x2 form, sign-fixed so the rotation
-    angle stays within +-pi/4.  Pairs with a degenerate form (``r <= 0`` or a
-    zero eigenvector) get the identity.
+    ``forms`` is (2, m, h), h1 = A_pp - A_qq and h2 = 2 A_pq per view and pair.
+    The angle is the symmetric-Schur angle atan2(2 g12, g11 - g22) / 4 of
+    their pooled Gram form g.  A pair whose pooled off-diagonal mass g22 / 2
+    is below ``skip_threshold``, or whose sine is below 1e-16, is idle.
     """
-    half_diff = 0.5 * (g11 - g22)
-    r = np.hypot(half_diff, g12)
-    lam = 0.5 * (g11 + g22) + r
-    vx, vy = lam - g22, g12
-    wx, wy = g12, lam - g11
-    use_w = np.hypot(wx, wy) > np.hypot(vx, vy)
-    vx = np.where(use_w, wx, vx)
-    vy = np.where(use_w, wy, vy)
-    norm = np.hypot(vx, vy)
-    identity = (r <= 0.0) | (norm <= 0.0)
-    norm = np.where(identity, 1.0, norm)
-    sign = np.where(vx < 0.0, -1.0, 1.0)
-    x, y = sign * vx / norm, sign * vy / norm
-    c = np.sqrt(0.5 * (1.0 + x))
-    s = y / (2.0 * c)
-    return np.where(identity, 1.0, c), np.where(identity, 0.0, s)
+    g = np.einsum("ami,bmi->abi", forms, forms)
+    theta = 0.25 * np.arctan2(2.0 * g[0, 1], g[0, 0] - g[1, 1])
+    s = np.sin(theta)
+    idle = (0.5 * g[1, 1] < skip_threshold) | (np.abs(s) < 1e-16)
+    theta[idle] = 0.0
+    s[idle] = 0.0
+    c = np.cos(theta)
+    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
 
 
 def _step_orders(n: int) -> list:
@@ -202,11 +193,16 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     the end.
 
     Raises:
+        InvalidSpec: ``max_sweeps`` is not an integer of at least 1, or
+            ``tol`` is negative or not finite.
         DimensionMismatch: no matrix, or not all nonempty square of one size.
         InvalidWeights: some entry is not finite.
         NotSymmetric: some matrix is asymmetric beyond 1e-8 of the largest
             entry.
     """
+    if not (isinstance(max_sweeps, (int, np.integer)) and max_sweeps >= 1 and 0 <= tol < np.inf):
+        raise InvalidSpec(f"need an integer max_sweeps >= 1 and a finite tol >= 0, "
+                          f"got {max_sweeps!r} and {tol!r}")
     stack = _square_family(matrices)
     n = stack.shape[1]
     scale = float(np.abs(stack).max())
@@ -233,7 +229,7 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     basis = np.zeros((size, n))
     basis[real, order[real]] = 1.0
     basis_spare = np.empty_like(basis)
-    rot = np.empty((h, 2, 2))
+    forms = np.empty((2, m, h))
     eye = np.eye(n)
 
     off = _off_total(stack)
@@ -247,16 +243,9 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
         for gather in gathers:
             # (2, 2, m, h): the step's 2x2 diagonal blocks, pairs last.
             blocks = stack.reshape(h, 2, h, 2, m).diagonal(axis1=0, axis2=2)
-            h1 = blocks[0, 0] - blocks[1, 1]
-            h2 = 2.0 * blocks[0, 1]
-            g22 = np.einsum("mi,mi->i", h2, h2)
-            c, s = _principal_rotation(np.einsum("mi,mi->i", h1, h1),
-                                       np.einsum("mi,mi->i", h1, h2), g22)
-            # g22 / 2 is the pair's pooled off-diagonal mass 2 * |apq|^2.
-            active = (0.5 * g22 >= skip_threshold) & (np.abs(s) >= 1e-16)
-            rot[:, 0, 0] = rot[:, 1, 1] = np.where(active, c, 1.0)
-            rot[:, 0, 1] = np.where(active, s, 0.0)
-            rot[:, 1, 0] = -rot[:, 0, 1]
+            np.subtract(blocks[0, 0], blocks[1, 1], out=forms[0])
+            np.multiply(blocks[0, 1], 2.0, out=forms[1])
+            rot = _rotations(forms, skip_threshold)
             np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
             np.take(spare, gather, axis=0, out=stack, mode="clip")
             np.copyto(spare, stack.transpose(1, 0, 2))
@@ -307,6 +296,7 @@ def joint_diagonalize(set_: MultiViewSet, tol: float = DEFAULT_TOL,
 
     Raises:
         IsolatedVertex: some view has a zero-degree vertex.
+        InvalidSpec: as ``joint_diagonalize_matrices``.
     """
     matrices = []
     for i, g in enumerate(set_.views):

@@ -435,10 +435,23 @@ class TestDice:
         ([-1, 2, 2], [1, 2, 2]),
         ([[1, 2], [2, 1]], [[1, 2], [1, 2]]),
         ([], []),
-    ], ids=["zero-id", "negative-id", "2-d", "no-vertex"])
+        ([1.5, 2.9, 2.2], [1, 2, 2]),
+        ([1.0, np.nan, 2.0], [1, 2, 2]),
+        (["1", "2", "2"], [1, 2, 2]),
+    ], ids=["zero-id", "negative-id", "2-d", "no-vertex", "fractional-id", "nan-id", "text-id"])
     def test_bad_labels_rejected(self, a, b):
         with pytest.raises(ShapeMismatch) as info:
             dice(np.asarray(a), np.asarray(b))
+        assert info.value.exit_code == 2
+
+    def test_whole_float_labels_accepted(self):
+        assert dice([1.0, 2.0, 2.0], [2, 1, 1]) == 1.0
+
+    @pytest.mark.parametrize("assignment", [[[1, 2], [2, 1]], [1.5, 2.0], [0, 1], [1, 3]],
+                             ids=["2-d", "fractional-id", "zero-id", "above-k"])
+    def test_labelling_rejects_bad_assignment(self, assignment):
+        with pytest.raises(ShapeMismatch) as info:
+            Labelling(assignment=assignment, k=2)
         assert info.value.exit_code == 2
 
 

@@ -7,6 +7,7 @@ import pytest
 import mvspectral
 from mvspectral import (
     DimensionMismatch,
+    InvalidSpec,
     InvalidTimeSeries,
     InvalidView,
     InvalidWeights,
@@ -18,6 +19,7 @@ from mvspectral import (
     WeightVector,
     generalized_eig,
     graph_from_timeseries,
+    joint_diagonalize,
     joint_diagonalize_matrices,
     off_cost,
 )
@@ -46,8 +48,19 @@ def series_with_nan():
     (lambda: joint_diagonalize_matrices([np.eye(2), np.eye(3)]), DimensionMismatch, Exception, 2),
     (lambda: joint_diagonalize_matrices([np.eye(3), np.full((3, 3), np.nan)]),
      InvalidWeights, ValueError, 2),
+    (lambda: joint_diagonalize_matrices([np.eye(3)], max_sweeps=0), InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize_matrices([np.eye(3)], max_sweeps=-3), InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize_matrices([np.eye(3)], tol=-1e-10), InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize_matrices([np.eye(3)], tol=np.nan), InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize_matrices([np.eye(3)], tol=np.inf), InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize(MultiViewSet([triangle()]), max_sweeps=0),
+     InvalidSpec, Exception, 4),
+    (lambda: joint_diagonalize(MultiViewSet([triangle()]), tol=np.nan),
+     InvalidSpec, Exception, 4),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
-        "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite"])
+        "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite",
+        "jdl-zero-sweeps", "jdl-negative-sweeps", "jdl-negative-tol", "jdl-nan-tol", "jdl-inf-tol",
+        "jdl-graphs-zero-sweeps", "jdl-graphs-nan-tol"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()

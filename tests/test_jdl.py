@@ -21,7 +21,7 @@ from mvspectral import (
 import mvspectral.jdl as jdl
 from mvspectral.eigen import fix_column_signs
 from mvspectral.graphs import degree, degree_scaled
-from mvspectral.jdl import _principal_rotation, _round_robin_schedule
+from mvspectral.jdl import _round_robin_schedule, _rotations
 
 
 def graph_of(weights):
@@ -276,13 +276,27 @@ class TestRoundRobinOrdering:
         h2[:, :3] = 0.0
         h1[:, 3] = h2[:, 3] = 0.0
         h1[0, 3] = 1.0  # h1 . h2 = 0 with g11 != g22
+        h1[:, 4] = 0.0  # h1 = 0 and h2 < 0 in every view: theta = +pi/4
+        h2[:, 4] = -np.abs(h2[:, 4]) - 0.1
+        h1[:, 5] = [1.0, 1.0, 0.0, 0.0, 0.0]  # r = 0 with a nonzero form:
+        h2[:, 5] = [1.0, -1.0, 0.0, 0.0, 0.0]  # g11 = g22 = 2, g12 = 0
+        rot = _rotations(np.stack([h1, h2]), 0.0)
+        c, s = rot[:, 0, 0], rot[:, 0, 1]
+        np.testing.assert_array_equal(rot[:, 1, 1], c)
+        np.testing.assert_array_equal(rot[:, 1, 0], -s)
         g11, g12, g22 = (h1 * h1).sum(0), (h1 * h2).sum(0), (h2 * h2).sum(0)
-        g11[4], g12[4], g22[4] = 2.0, 0.0, 2.0  # r = 0 with a nonzero form
-        c, s = _principal_rotation(g11, g12, g22)
         ref = np.array([scalar_rotation(*g) for g in zip(g11, g12, g22)])
         assert np.abs(c - ref[:, 0]).max() <= 1e-15
         assert np.abs(s - ref[:, 1]).max() <= 1e-15
-        assert np.all(c[[0, 1, 2, 4]] == 1.0) and np.all(s[[0, 1, 2, 4]] == 0.0)
+        assert np.all(c[[0, 1, 2, 5]] == 1.0) and np.all(s[[0, 1, 2, 5]] == 0.0)
+        assert c[4] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert s[4] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+    def test_pair_below_skip_threshold_is_identity(self):
+        forms = np.array([[[3.0, 3.0]], [[1e-3, 4.0]]])  # (2, m=1, h=2)
+        rot = _rotations(forms, skip_threshold=1.0)  # pair 0's mass 0.5 * 1e-6 is below
+        np.testing.assert_array_equal(rot[0], np.eye(2))
+        assert rot[1, 0, 1] != 0.0
 
     def test_odd_n_commuting_family_fully_diagonalized(self):
         rng = np.random.default_rng(16)
@@ -296,6 +310,18 @@ class TestRoundRobinOrdering:
 
 
 class TestConvergedFlag:
+    def test_single_matrix_families_stop_at_rounding_floor(self):
+        # Diagonalized to rounding, many of these families' total less
+        # diagonal mass comes out a few ulps below zero (seed 38, n = 3 ends
+        # at -3.6e-15); a negative off-cost could not meet the stopping rule.
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            rng.integers(1, 3)  # a view count drawn and unused: m stays 1
+            jd = joint_diagonalize_matrices(random_symmetric_family(rng, 1, n), max_sweeps=30)
+            assert jd.converged is True and jd.sweeps_run < 30, seed
+            assert np.all(jd.off_history >= 0.0), seed
+
     def test_already_diagonal_converges_in_one_sweep(self):
         jd = joint_diagonalize_matrices([np.diag([3.0, 1.0, 2.0]), np.diag([0.5, -1.0, 4.0])])
         assert jd.converged is True
