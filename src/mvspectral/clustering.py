@@ -17,6 +17,10 @@ aligns all its runs in one pass: every table whose optimal matching is plain
 from its row maxima is matched at once, and only the rest go through
 ``best_label_permutation``, which fixes rows in order by k - 1 exact
 assignment solves and so picks the lexicographically smallest optimum.
+
+The assignment solver, ``scipy.optimize.linear_sum_assignment``, is imported
+on the first solve, not with the module: ``scipy.optimize`` costs most of the
+package's import time, and only ``dice`` and label alignment use it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .eigen import Embedding
 from .errors import NonFiniteDistances, ShapeMismatch, TooFewPoints
@@ -287,8 +290,15 @@ def contingency_table(a, b) -> np.ndarray:
     return np.bincount(cells, minlength=ka * ka).reshape(ka, ka)
 
 
+def _assignment(cost: np.ndarray):
+    """Minimum-cost assignment of a square cost matrix, as (rows, cols)."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
 def _max_agreement(counts: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(-counts)
+    rows, cols = _assignment(-counts)
     return int(counts[rows, cols].sum())
 
 
@@ -332,8 +342,8 @@ def best_label_permutation(counts: np.ndarray):
         cost[0] += np.arange(k - i)
         # Rows come back in order, so cols[0] is row i's pick among the free columns;
         # moving it to position i leaves the free columns after it ascending.
-        j = i + int(linear_sum_assignment(cost)[1][0])
-        perm[i:j + 1] = np.roll(perm[i:j + 1], 1)
+        j = i + int(_assignment(cost)[1][0])
+        perm[i:j + 1] = np.concatenate((perm[j:j + 1], perm[i:j]))
     return perm + 1, int(counts[np.arange(k), perm].sum())
 
 

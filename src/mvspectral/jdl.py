@@ -14,10 +14,11 @@ the basis columns ranked by mean diagonal value.
 The matrices are held in a pair-interleaved layout: rows and columns are
 ordered so that each of the current step's pairs occupies two adjacent
 positions.  A step's rotations are then one batched 2x2 ``np.matmul`` over
-all pairs, applied to the rows, then, after one gather into the next step's
-order and a transposed copy, to the former columns, with one more gather;
-the transposed basis follows with the same rotation and gather.  After a
-sweep the layout is back in the first step's order.
+all pairs, applied to the rows, then, after one ``np.take`` that gathers the
+rows into the next step's order and transposes in the same pass, to the
+former columns, with one more gather; the transposed basis follows with the
+same rotation and gather.  After a sweep the layout is back in the first
+step's order.
 """
 
 from __future__ import annotations
@@ -230,6 +231,7 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     basis[real, order[real]] = 1.0
     basis_spare = np.empty_like(basis)
     forms = np.empty((2, m, h))
+    positions = np.arange(size)[:, None]
     eye = np.eye(n)
 
     off = _off_total(stack)
@@ -247,11 +249,11 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
             np.multiply(blocks[0, 1], 2.0, out=forms[1])
             rot = _rotations(forms, skip_threshold)
             np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
+            # stack[i, a] = spare[gather[a], i]: the row gather and the transpose in one pass.
+            np.take(spare.reshape(size * size, m), gather * size + positions, axis=0,
+                    out=stack, mode="clip")
+            np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
             np.take(spare, gather, axis=0, out=stack, mode="clip")
-            np.copyto(spare, stack.transpose(1, 0, 2))
-            np.matmul(rot, spare.reshape(h, 2, size * m), out=stack.reshape(h, 2, size * m))
-            np.take(stack, gather, axis=0, out=spare, mode="clip")
-            stack, spare = spare, stack
             np.matmul(rot, basis.reshape(h, 2, n), out=basis_spare.reshape(h, 2, n))
             np.take(basis_spare, gather, axis=0, out=basis, mode="clip")
         sweeps = sweep

@@ -40,6 +40,9 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n < 2 or self.k_true < 1 or self.m < 1:
             raise InvalidSpec(f"bad sizes n={self.n} k={self.k_true} m={self.m}")
+        moments = (self.intra_mean, self.intra_sd, self.inter_mean, self.inter_sd)
+        if not np.isfinite(moments).all():
+            raise InvalidSpec(f"means and standard deviations must be finite, got {moments}")
         if not self.intra_mean > self.inter_mean >= 0.0:
             raise InvalidSpec(
                 f"need intra mean > inter mean >= 0, got {self.intra_mean} vs {self.inter_mean}"

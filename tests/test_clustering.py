@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,15 +152,15 @@ LOCKSTEP_FAMILIES = list(lockstep_families())
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Shapes of the cost matrices passed to ``linear_sum_assignment``, call by call."""
+    """Shapes of the cost matrices passed to the assignment solver, call by call."""
     calls = []
-    real = clustering.linear_sum_assignment
+    real = clustering._assignment
 
     def counting(cost):
         calls.append(cost.shape)
         return real(cost)
 
-    monkeypatch.setattr(clustering, "linear_sum_assignment", counting)
+    monkeypatch.setattr(clustering, "_assignment", counting)
     return calls
 
 
@@ -446,6 +451,23 @@ class TestDice:
 
     def test_whole_float_labels_accepted(self):
         assert dice([1.0, 2.0, 2.0], [2, 1, 1]) == 1.0
+
+    def test_assignment_solver_imported_on_first_solve(self):
+        a, b = [1, 1, 2, 2, 3, 3], [2, 2, 1, 3, 3, 3]
+        script = (
+            "import json, sys\n"
+            "import mvspectral, mvspectral.cli\n"
+            "before = sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules)\n"
+            f"value = mvspectral.dice({a}, {b})\n"
+            "print(json.dumps([before, 'scipy.optimize' in sys.modules, value]))\n"
+        )
+        src = str(Path(clustering.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        before, loaded_after, value = json.loads(out.stdout)
+        assert before == ["scipy.linalg"]
+        assert loaded_after
+        assert value == dice(a, b) == 5 / 6
 
     @pytest.mark.parametrize("assignment", [[[1, 2], [2, 1]], [1.5, 2.0], [0, 1], [1, 3]],
                              ids=["2-d", "fractional-id", "zero-id", "above-k"])

@@ -15,6 +15,7 @@ from mvspectral import (
     MultiViewSet,
     MVSpectralError,
     NotOrthogonal,
+    SyntheticSpec,
     ViewGraph,
     WeightVector,
     generalized_eig,
@@ -22,7 +23,9 @@ from mvspectral import (
     joint_diagonalize,
     joint_diagonalize_matrices,
     off_cost,
+    synth_views,
 )
+from mvspectral.cli import main
 
 SOURCES = sorted(Path(mvspectral.__file__).parent.glob("*.py"))
 
@@ -57,16 +60,33 @@ def series_with_nan():
      InvalidSpec, Exception, 4),
     (lambda: joint_diagonalize(MultiViewSet([triangle()]), tol=np.nan),
      InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=6, k_true=2, m=1, intra_sd=np.inf)),
+     InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=6, k_true=2, m=1, intra_mean=np.inf)),
+     InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=6, k_true=2, m=1, inter_sd=np.nan)),
+     InvalidSpec, Exception, 4),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
         "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite",
         "jdl-zero-sweeps", "jdl-negative-sweeps", "jdl-negative-tol", "jdl-nan-tol", "jdl-inf-tol",
-        "jdl-graphs-zero-sweeps", "jdl-graphs-nan-tol"])
+        "jdl-graphs-zero-sweeps", "jdl-graphs-nan-tol", "synth-inf-sd", "synth-inf-mean",
+        "synth-nan-sd"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, MVSpectralError)
     assert isinstance(info.value, builtin)
     assert info.value.exit_code == exit_code
+
+
+@pytest.mark.parametrize("moments", ["1,inf", "inf,0.2"])
+def test_synth_nonfinite_moments_are_config_errors(moments, tmp_path, capsys):
+    code = main(["synth", "--n", "8", "--k-true", "2", "--m", "1", "--intra", moments,
+                 "--outdir", str(tmp_path / "family"), "--output", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == InvalidSpec.exit_code == 4
+    assert err.count("\n") == 1 and "must be finite" in err
+    assert not (tmp_path / "family").exists()
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
