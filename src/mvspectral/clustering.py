@@ -19,8 +19,10 @@ from its row maxima is matched at once, and only the rest go through
 assignment solves and so picks the lexicographically smallest optimum.
 
 The assignment solver, ``scipy.optimize.linear_sum_assignment``, is imported
-on the first solve, not with the module: ``scipy.optimize`` costs most of the
-package's import time, and only ``dice`` and label alignment use it.
+on the first solve or consensus, not with the module: ``scipy.optimize`` costs
+most of the package's import time, and only ``dice`` and label alignment use
+it.  A consensus imports it even when none of its tables needs a solve, so
+its time and memory do not hinge on how its runs happen to agree.
 """
 
 from __future__ import annotations
@@ -380,9 +382,12 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     maxima, its only optimum, and only the other tables call
     ``best_label_permutation``.  Ties go to the lowest cluster id.  Cluster
     ids that win no vertex are reported in the metadata, not repaired.
+    ``scipy.optimize`` is imported on every call, solve or not.
     """
     if num_seeds < 1:
         raise TooFewPoints(f"need at least one seed, got {num_seeds}")
+    # Loaded whether or not a table needs it: see the module docstring.
+    import scipy.optimize  # noqa: F401
     points = emb.coords if isinstance(emb, Embedding) else np.asarray(emb, dtype=np.float64)
     if row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)

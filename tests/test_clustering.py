@@ -164,6 +164,14 @@ def solves(monkeypatch):
     return calls
 
 
+def run_fresh(script: str):
+    """Run ``script`` in a new interpreter on these sources; its stdout parsed as JSON."""
+    src = str(Path(clustering.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout)
+
+
 class TestKmeans:
     def test_single_cluster_objective_is_scatter(self):
         rng = np.random.default_rng(0)
@@ -461,10 +469,7 @@ class TestDice:
             f"value = mvspectral.dice({a}, {b})\n"
             "print(json.dumps([before, 'scipy.optimize' in sys.modules, value]))\n"
         )
-        src = str(Path(clustering.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": src})
-        before, loaded_after, value = json.loads(out.stdout)
+        before, loaded_after, value = run_fresh(script)
         assert before == ["scipy.linalg"]
         assert loaded_after
         assert value == dice(a, b) == 5 / 6
@@ -478,6 +483,17 @@ class TestDice:
 
 
 class TestConsensusLabelling:
+    def test_solver_imported_without_a_solve(self):
+        # One seed leaves no table to align, so no assignment solve runs.
+        script = (
+            "import json, sys\n"
+            "import mvspectral\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "lab = mvspectral.consensus_labelling([[0.0], [0.1], [5.0], [5.1]], 2, num_seeds=1)\n"
+            "print(json.dumps([before, 'scipy.optimize' in sys.modules]))\n"
+        )
+        assert run_fresh(script) == [False, True]
+
     def test_single_seed_equals_kmeans(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(18, 2))
