@@ -43,7 +43,6 @@ class Embedding:
 
     coords: np.ndarray
     eigenvalues: np.ndarray
-    method: str | None = None
 
 
 def fix_column_signs(vectors: np.ndarray) -> np.ndarray:

@@ -17,29 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_info, threadpool_limits
-except ImportError:  # optional: timing pins the loaded OpenBLAS builds via ctypes
-    threadpool_info = threadpool_limits = None
-
 from .clustering import consensus_labelling, dice
 from .errors import InsufficientViews, InvalidSpec
 from .io import RunReport, report_version
 from .jdl import jdl_embed, joint_diagonalize
 from .multiview import MultiViewSet, aasc_weights, embed, mvsc_weights, mvscw_weights
 
-# The aggregation methods differ only in their view weights: each maps
-# (views, k) to (WeightVector, Embedding or None).  aasc returns the embedding
-# its weight search ends on; the others are embedded by the caller.  The
-# lambdas look the weight functions up when called, so rebinding a module
-# name (tests, tracing) reaches them.
-_AGGREGATION = {
-    "mvsc": lambda set_, k: (mvsc_weights(set_.m), None),
-    "mvscw": lambda set_, k: (mvscw_weights(set_, k), None),
-    "aasc": lambda set_, k: aasc_weights(set_, k)[:2],
-}
-
-METHODS = (*_AGGREGATION, "jdl")
+METHODS = ("mvsc", "mvscw", "aasc", "jdl")
 
 DEFAULT_GROUP_SIZES = (4, 8, 16, 32, 64, 128)
 
@@ -89,13 +73,34 @@ def check_method(method: str) -> None:
 
 
 def _check_grid(group_sizes, trials: int) -> None:
-    """Raise InvalidSpec for no trial, no group size or a size below 1."""
+    """Raise InvalidSpec for no trial, no group size, a size below 1 or a repeat."""
     if trials < 1:
         raise InvalidSpec(f"need at least one trial, got {trials}")
     if not group_sizes:
         raise InvalidSpec("need at least one group size")
     if min(group_sizes) < 1:
         raise InvalidSpec(f"group sizes must be at least 1, got {min(group_sizes)}")
+    if len(set(group_sizes)) != len(group_sizes):
+        raise InvalidSpec(f"group sizes must not repeat, got {list(group_sizes)}")
+
+
+def _embedding(set_: MultiViewSet, method: str, k: int, weight_k: int):
+    """Embed ``set_`` into ``k - 1`` dimensions by ``method``.
+
+    The view weights of mvscw and aasc target ``weight_k`` clusters.  aasc's
+    weight search ends on the embedding of its weights, which is reused when
+    ``weight_k == k``.
+
+    Returns:
+        (Embedding, WeightVector or None for the joint-diagonalization method)
+    """
+    if method == "jdl":
+        return jdl_embed(joint_diagonalize(set_), set_, k), None
+    if method == "aasc":
+        w, emb, _ = aasc_weights(set_, weight_k)
+        return (emb if weight_k == k else embed(set_, w, k)), w
+    w = mvsc_weights(set_.m) if method == "mvsc" else mvscw_weights(set_, weight_k)
+    return embed(set_, w, k), w
 
 
 def compute_embedding(set_: MultiViewSet, method: str, k: int):
@@ -113,13 +118,8 @@ def compute_embedding(set_: MultiViewSet, method: str, k: int):
         raise InvalidSpec(f"k={k} is below 2")
     if k > set_.n:
         raise InvalidSpec(f"k={k} exceeds the n={set_.n} vertices")
-    if method == "jdl":
-        jd = joint_diagonalize(set_)
-        return jdl_embed(jd, set_, k), None
-    w, emb = _AGGREGATION[method](set_, k)
-    if emb is None:
-        emb = embed(set_, w, k, method=method)
-    return emb, w.alpha
+    emb, w = _embedding(set_, method, k, k)
+    return emb, None if w is None else w.alpha
 
 
 @dataclass
@@ -153,15 +153,7 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
     weight_k = k_max + 1 if weight_k is None else weight_k
     if not 2 <= weight_k <= set_.n:
         raise InvalidSpec(f"weight_k={weight_k} is outside 2..{set_.n}")
-    if method == "jdl":
-        jd = joint_diagonalize(set_)
-        scores = np.sort(jd.mean_diagonal)
-        values = scores[1:1 + k_max]
-    else:
-        w, emb = _AGGREGATION[method](set_, weight_k)
-        if emb is None or weight_k != k_max + 1:
-            emb = embed(set_, w, k_max + 1)
-        values = emb.eigenvalues
+    values = _embedding(set_, method, k_max + 1, weight_k)[0].eigenvalues
     ratios = [float(values[i + 1] / values[i]) for i in range(len(values) - 1)]
     suggested = (int(np.argmax(ratios)) + 2) if ratios else 2
     return EigengapReport(
@@ -289,16 +281,10 @@ def _openblas_thread_controls() -> list:
 def _one_blas_thread():
     """Pin BLAS pools to one thread for the block; yields whether it worked.
 
-    threadpoolctl is used when installed and it finds a BLAS pool; otherwise
-    every loaded OpenBLAS build is set to one thread through ctypes and given
-    back its previous count on exit.  If neither route pins anything, a
-    RuntimeWarning says so and the block runs unpinned.
+    Every loaded OpenBLAS build is set to one thread through ctypes and given
+    back its previous count on exit.  If none is found (an MKL or BLIS
+    build), a RuntimeWarning says so and the block runs unpinned.
     """
-    if threadpool_limits is not None and any(
-            pool["user_api"] == "blas" for pool in threadpool_info()):
-        with threadpool_limits(limits=1):
-            yield True
-        return
     controls = _openblas_thread_controls()
     previous = [get() for get, _ in controls]
     try:
@@ -307,8 +293,8 @@ def _one_blas_thread():
         pinned = bool(controls) and all(get() == 1 for get, _ in controls)
         if not pinned:
             warnings.warn(
-                "timing runs with unpinned BLAS threads: neither threadpoolctl "
-                "nor a loaded OpenBLAS build could be set to one thread",
+                "timing runs with unpinned BLAS threads: no loaded OpenBLAS build "
+                "could be set to one thread",
                 RuntimeWarning, stacklevel=4,
             )
         yield pinned
@@ -328,15 +314,14 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
     strictly sequentially, with BLAS pools pinned to one thread for the
     duration so dispatch thresholds do not distort the size scaling.
 
-    The pin goes through threadpoolctl when it is installed (it also covers
-    MKL and BLIS); otherwise every loaded OpenBLAS build is set to one thread
-    through ctypes, and restored to its previous count afterwards.  When
-    neither route works the cells run unpinned, a ``RuntimeWarning`` is
-    emitted, and the result records ``blas_threads_pinned=False``.
+    Every loaded OpenBLAS build is set to one thread through ctypes, and
+    restored to its previous count afterwards.  On a build without OpenBLAS
+    (MKL, BLIS) the cells run unpinned, a ``RuntimeWarning`` is emitted, and
+    the result records ``blas_threads_pinned=False``.
 
     Raises:
-        InvalidSpec: fewer than one trial, no group size, a size below 1, or
-            an unknown method.
+        InvalidSpec: fewer than one trial, no group size, a size below 1, a
+            repeated size, no method, a repeated method or an unknown one.
         InsufficientViews: a group size exceeds the number of views.
     """
     group_sizes = list(group_sizes)
@@ -345,6 +330,11 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
         raise InsufficientViews(
             f"group size {max(group_sizes)} exceeds available views ({set_.m})"
         )
+    methods = list(methods)
+    if not methods:
+        raise InvalidSpec("need at least one method")
+    if len(set(methods)) != len(methods):
+        raise InvalidSpec(f"methods must not repeat, got {methods}")
     for method in methods:
         check_method(method)
     seconds: dict = {method: {} for method in methods}
@@ -368,7 +358,7 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
                     "samples": [float(s) for s in samples],
                 }
     return TimingResult(k=k, trials=trials, group_sizes=group_sizes,
-                        methods=list(methods), seconds=seconds,
+                        methods=methods, seconds=seconds,
                         blas_threads_pinned=pinned)
 
 

@@ -327,4 +327,4 @@ def jdl_embed(jd: JointDiagonalizer, set_: MultiViewSet, k: int) -> Embedding:
     coords.setflags(write=False)
     values = np.array(jd.mean_diagonal[chosen])
     values.setflags(write=False)
-    return Embedding(coords=coords, eigenvalues=values, method="jdl")
+    return Embedding(coords=coords, eigenvalues=values)

@@ -158,8 +158,7 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
     return WeightVector(inv / inv.sum())
 
 
-def embed(set_: MultiViewSet, w: WeightVector, k: int,
-          method: str | None = None) -> Embedding:
+def embed(set_: MultiViewSet, w: WeightVector, k: int) -> Embedding:
     """Aggregate under ``w`` and embed into the smallest k-1 nontrivial
     generalized eigenvectors.
 
@@ -170,8 +169,7 @@ def embed(set_: MultiViewSet, w: WeightVector, k: int,
     g = aggregate(set_, w)
     if k < 2:
         raise DimensionError(f"need k >= 2, got {k}")
-    emb = smallest_nontrivial(generalized_eig(g, k), k - 1)
-    return Embedding(coords=emb.coords, eigenvalues=emb.eigenvalues, method=method)
+    return smallest_nontrivial(generalized_eig(g, k), k - 1)
 
 
 def _projected_forms(set_: MultiViewSet, coords: np.ndarray):
@@ -229,8 +227,7 @@ def aasc_weights(set_: MultiViewSet, k: int):
     Stops when a round changes the objective by at most ``ROUND_RTOL``
     (relative) or after ``MAX_ROUNDS`` rounds; the recorded objective
     sequence is nonincreasing.  Each round's embedding is ``embed`` of the
-    current weights, so the returned one equals ``embed(set_, weights, k,
-    method="aasc")``.
+    current weights, so the returned one equals ``embed(set_, weights, k)``.
 
     Returns:
         (weights, embedding, objective trace as a list of floats)
@@ -272,6 +269,6 @@ def aasc_weights(set_: MultiViewSet, k: int):
         prev_outer = current
 
     weights = WeightVector(alpha)
-    final = embed(set_, weights, k, method="aasc")
+    final = embed(set_, weights, k)
     trace.append(float(final.eigenvalues.sum()))
     return weights, final, trace

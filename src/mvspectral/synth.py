@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, InvalidWeights
 from .graphs import Partition, ViewGraph
 from .multiview import MultiViewSet
 
@@ -62,6 +62,10 @@ def synth_views(spec: SyntheticSpec):
 
     Returns:
         (MultiViewSet, Partition)
+
+    Raises:
+        InvalidSpec: a bad spec, including moments whose draws overflow a
+            view's weights or degrees.
     """
     spec.validate()
     blocks = spec.resolved_blocks()
@@ -76,5 +80,8 @@ def synth_views(spec: SyntheticSpec):
         w = np.zeros((spec.n, spec.n))
         w[upper] = np.maximum(0.0, rng.normal(means[upper], sds[upper]))
         w = w + w.T
-        views.append(ViewGraph.from_weights(w, label=f"synthetic-{i:03d}"))
+        try:
+            views.append(ViewGraph.from_weights(w, label=f"synthetic-{i:03d}"))
+        except InvalidWeights as exc:
+            raise InvalidSpec(f"synthetic view {i}: {exc}") from exc
     return MultiViewSet(views), Partition(assignment=labels, k=spec.k_true)

@@ -225,8 +225,13 @@ class TestExitCodes:
         ("timing", ["--trials", 0]),
         ("timing", ["--group-sizes", -1]),
         ("consistency", ["--group-sizes", 0]),
+        ("consistency", ["--group-sizes", "2,2"]),
+        ("timing", ["--group-sizes", "2,2"]),
+        ("timing", ["--group-sizes", 2, "--methods", ""]),
+        ("timing", ["--group-sizes", 2, "--methods", "mvsc,mvsc"]),
     ], ids=["timing-no-sizes", "timing-zero-trials", "timing-negative-size",
-            "consistency-zero-size"])
+            "consistency-zero-size", "consistency-repeated-size", "timing-repeated-size",
+            "timing-no-methods", "timing-repeated-method"])
     def test_bad_size_is_config_error(self, command, extra, planted_dir, capsys):
         code = run_cli([command, "--manifest", planted_dir / "manifest.json", "--k", 3,
                         "--trials", 1, *extra])

@@ -7,6 +7,7 @@ import pytest
 import mvspectral
 from mvspectral import (
     DimensionMismatch,
+    ExperimentConfig,
     InvalidSpec,
     InvalidTimeSeries,
     InvalidView,
@@ -24,6 +25,7 @@ from mvspectral import (
     joint_diagonalize_matrices,
     off_cost,
     synth_views,
+    timing_experiment,
 )
 from mvspectral.cli import main
 
@@ -66,11 +68,22 @@ def series_with_nan():
      InvalidSpec, Exception, 4),
     (lambda: synth_views(SyntheticSpec(n=6, k_true=2, m=1, inter_sd=np.nan)),
      InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=2, m=1, intra_sd=1e308)),
+     InvalidSpec, Exception, 4),
+    (lambda: ExperimentConfig(group_sizes=(1, 1)).validate(2), InvalidSpec, Exception, 4),
+    (lambda: timing_experiment(MultiViewSet([triangle()]), ["mvsc"], k=2, group_sizes=[1, 1]),
+     InvalidSpec, Exception, 4),
+    (lambda: timing_experiment(MultiViewSet([triangle()]), [], k=2, group_sizes=[1]),
+     InvalidSpec, Exception, 4),
+    (lambda: timing_experiment(MultiViewSet([triangle()]), ["mvsc", "mvsc"], k=2,
+                               group_sizes=[1]),
+     InvalidSpec, Exception, 4),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
         "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite",
         "jdl-zero-sweeps", "jdl-negative-sweeps", "jdl-negative-tol", "jdl-nan-tol", "jdl-inf-tol",
         "jdl-graphs-zero-sweeps", "jdl-graphs-nan-tol", "synth-inf-sd", "synth-inf-mean",
-        "synth-nan-sd"])
+        "synth-nan-sd", "synth-overflow-degrees", "consistency-repeated-size",
+        "timing-repeated-size", "timing-no-methods", "timing-repeated-method"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()

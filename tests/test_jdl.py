@@ -224,12 +224,11 @@ class TestJdlEmbed:
         lab = consensus_labelling(emb, blocks, num_seeds=20, base_seed=0)
         assert dice(lab, Labelling(assignment=labels, k=blocks)) >= 0.95
 
-    def test_method_tag_and_shape(self):
+    def test_shape_and_ascending_values(self):
         rng = np.random.default_rng(14)
         set_ = MultiViewSet([random_view(rng, 7) for _ in range(2)])
         jd = joint_diagonalize(set_, max_sweeps=20)
         emb = jdl_embed(jd, set_, k=3)
-        assert emb.method == "jdl"
         assert emb.coords.shape == (7, 2)
         assert np.all(np.diff(emb.eigenvalues) >= 0)
 

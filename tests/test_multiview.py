@@ -222,12 +222,11 @@ class TestEmbed:
     def test_single_view_equals_direct_pipeline(self):
         rng = np.random.default_rng(12)
         g = random_view(rng, 9)
-        emb = embed(MultiViewSet([g]), mvsc_weights(1), k=4, method="mvsc")
+        emb = embed(MultiViewSet([g]), mvsc_weights(1), k=4)
         sol = generalized_eig(g)
         direct = smallest_nontrivial(sol, 3)
         np.testing.assert_allclose(emb.coords, direct.coords, atol=1e-12)
         np.testing.assert_allclose(emb.eigenvalues, direct.eigenvalues, atol=1e-12)
-        assert emb.method == "mvsc"
 
     def test_identical_views_equal_single_view(self):
         rng = np.random.default_rng(13)
@@ -310,10 +309,9 @@ class TestAascWeights:
         views = [planted_view(rng, 12, blocks=3)] + [random_view(rng, 12) for _ in range(2)]
         set_ = MultiViewSet(views)
         w, emb, _ = aasc_weights(set_, k=3)
-        again = embed(set_, w, k=3, method="aasc")
+        again = embed(set_, w, k=3)
         np.testing.assert_array_equal(emb.coords, again.coords)
         np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
-        assert emb.method == again.method == "aasc"
 
     def test_needs_two_views(self):
         rng = np.random.default_rng(20)
