@@ -70,7 +70,7 @@ from .clustering import (
     kmeans,
 )
 from .synth import SyntheticSpec, synth_views
-from .io import LoadReport, RunReport, dump_json, load_views
+from .io import RunReport, dump_json, load_views
 from .experiments import (
     METHODS,
     ConsistencyResult,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import EXIT_CONFIG, MVSpectralError
+from .errors import EXIT_CONFIG, InvalidSpec, MVSpectralError
 from .experiments import (
     DEFAULT_GROUP_SIZES,
     METHODS,
@@ -137,11 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> None:
+    targets = [args.outdir / (source.stem + ".adj.csv") for source in args.inputs]
+    repeated = sorted({t.name for t in targets if targets.count(t) > 1})
+    if repeated:
+        raise InvalidSpec(f"inputs would write the same file in {args.outdir}: "
+                          f"{', '.join(repeated)}")
     args.outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for source in args.inputs:
+    for source, target in zip(args.inputs, targets):
         view = load_timeseries(source)
-        target = args.outdir / (Path(source).stem + ".adj.csv")
         write_matrix_csv(view.weights, target)
         written.append(str(target))
     _emit({"written": written, "vertices": view.n}, args.output)
@@ -170,7 +174,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_embed(args) -> None:
-    views, report = load_views(args.manifest)
+    views, negatives = load_views(args.manifest)
     emb, weights = compute_embedding(views, args.method, args.k)
     _emit({
         "method": args.method,
@@ -178,17 +182,17 @@ def _cmd_embed(args) -> None:
         "eigenvalues": emb.eigenvalues,
         "coords": emb.coords,
         "weights": weights,
-        "negative_entries_zeroed": report.total_negative_entries,
+        "negative_entries_zeroed": negatives,
     }, args.output)
 
 
 def _cmd_cluster(args) -> None:
-    views, report = load_views(args.manifest)
+    views, negatives = load_views(args.manifest)
     cfg = ExperimentConfig(method=args.method, k=args.k, num_seeds=args.num_seeds,
                            rng_seed=args.seed, row_normalize=args.row_normalize)
     run = run_pipeline(views, cfg)
     payload = run.to_dict()
-    payload["negative_entries_zeroed"] = report.total_negative_entries
+    payload["negative_entries_zeroed"] = negatives
     _emit(payload, args.output)
 
 

@@ -43,8 +43,7 @@ class Labelling:
 
     ``mode_support`` is the fraction of aligned runs that voted for each
     vertex's winning label; ``empty_clusters`` lists ids that won no vertex
-    (reported, never repaired); ``aligned_to_first`` records that runs were
-    permutation-matched to the first seed before voting.
+    (reported, never repaired).
     """
 
     assignment: np.ndarray
@@ -52,7 +51,6 @@ class Labelling:
     seeds_used: int = 1
     mode_support: np.ndarray | None = None
     empty_clusters: tuple = ()
-    aligned_to_first: bool = True
 
     def __post_init__(self):
         a = _labels_of(self.assignment)
@@ -413,7 +411,6 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
         seeds_used=num_seeds,
         mode_support=support,
         empty_clusters=empty,
-        aligned_to_first=True,
     )
 
 

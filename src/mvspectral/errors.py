@@ -115,7 +115,7 @@ class NotOrthogonal(MVSpectralError, ValueError):
 
 
 class InvalidWeightVector(MVSpectralError, ValueError):
-    """View weights are negative or do not sum to one.
+    """View weights are not finite, are negative or do not sum to one.
 
     Also a ``ValueError``, so callers that catch that keep working.
     """

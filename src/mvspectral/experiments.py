@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .clustering import consensus_labelling, dice
 from .errors import InsufficientViews, InvalidSpec
-from .io import RunReport, report_version
+from .io import RunReport
 from .jdl import jdl_embed, joint_diagonalize
 from .multiview import MultiViewSet, aasc_weights, embed, mvsc_weights, mvscw_weights
 
@@ -51,8 +52,10 @@ class ExperimentConfig:
 
     def validate(self, available_views: int) -> None:
         check_method(self.method)
-        if self.k < 2:
-            raise InvalidSpec(f"need k >= 2, got {self.k}")
+        if not (_is_int(self.k) and self.k >= 2):
+            raise InvalidSpec(f"need an integer k >= 2, got {self.k!r}")
+        if not (_is_int(self.num_seeds) and self.num_seeds >= 1):
+            raise InvalidSpec(f"need an integer num_seeds >= 1, got {self.num_seeds!r}")
         _check_grid(self.group_sizes, self.trials)
         biggest = 2 * max(self.group_sizes)
         if biggest > available_views:
@@ -72,54 +75,50 @@ def check_method(method: str) -> None:
         raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 def _check_grid(group_sizes, trials: int) -> None:
-    """Raise InvalidSpec for no trial, no group size, a size below 1 or a repeat."""
-    if trials < 1:
-        raise InvalidSpec(f"need at least one trial, got {trials}")
+    """Raise InvalidSpec unless trials and group sizes are integers of at least
+    1, with at least one size and none repeated."""
+    if not (_is_int(trials) and trials >= 1):
+        raise InvalidSpec(f"need an integer number of trials >= 1, got {trials!r}")
     if not group_sizes:
         raise InvalidSpec("need at least one group size")
-    if min(group_sizes) < 1:
-        raise InvalidSpec(f"group sizes must be at least 1, got {min(group_sizes)}")
+    if not all(_is_int(size) and size >= 1 for size in group_sizes):
+        raise InvalidSpec(f"group sizes must be integers of at least 1, got {list(group_sizes)}")
     if len(set(group_sizes)) != len(group_sizes):
         raise InvalidSpec(f"group sizes must not repeat, got {list(group_sizes)}")
 
 
-def _embedding(set_: MultiViewSet, method: str, k: int, weight_k: int):
-    """Embed ``set_`` into ``k - 1`` dimensions by ``method``.
-
-    The view weights of mvscw and aasc target ``weight_k`` clusters.  aasc's
-    weight search ends on the embedding of its weights, which is reused when
-    ``weight_k == k``.
-
-    Returns:
-        (Embedding, WeightVector or None for the joint-diagonalization method)
-    """
-    if method == "jdl":
-        return jdl_embed(joint_diagonalize(set_), set_, k), None
-    if method == "aasc":
-        w, emb, _ = aasc_weights(set_, weight_k)
-        return (emb if weight_k == k else embed(set_, w, k)), w
-    w = mvsc_weights(set_.m) if method == "mvsc" else mvscw_weights(set_, weight_k)
-    return embed(set_, w, k), w
-
-
 def compute_embedding(set_: MultiViewSet, method: str, k: int):
-    """Group-wise embedding for one method.
+    """Group-wise embedding into ``k - 1`` dimensions for one method.
+
+    The view weights of mvscw and aasc target ``k`` clusters; aasc's weight
+    search ends on the embedding of its weights, which is returned as is.
 
     Returns:
-        (Embedding, weight list or None for the joint-diagonalization method)
+        (Embedding, weight array or None for the joint-diagonalization method)
 
     Raises:
-        InvalidSpec: an unknown method, or ``k`` outside ``2..n``; both are
-            checked before any eigensolve.
+        InvalidSpec: an unknown method, or ``k`` not an integer in ``2..n``;
+            both are checked before any eigensolve.
     """
     check_method(method)
+    if not _is_int(k):
+        raise InvalidSpec(f"k must be an integer, got {k!r}")
     if k < 2:
         raise InvalidSpec(f"k={k} is below 2")
     if k > set_.n:
         raise InvalidSpec(f"k={k} exceeds the n={set_.n} vertices")
-    emb, w = _embedding(set_, method, k, k)
-    return emb, None if w is None else w.alpha
+    if method == "jdl":
+        return jdl_embed(joint_diagonalize(set_), set_, k), None
+    if method == "aasc":
+        w, emb, _ = aasc_weights(set_, k)
+        return emb, w.alpha
+    w = mvsc_weights(set_.m) if method == "mvsc" else mvscw_weights(set_, k)
+    return embed(set_, w, k), w.alpha
 
 
 @dataclass
@@ -132,28 +131,23 @@ class EigengapReport:
     suggested_k: int
 
 
-def eigengap_report(set_: MultiViewSet, method: str, k_max: int,
-                    weight_k: int | None = None) -> EigengapReport:
+def eigengap_report(set_: MultiViewSet, method: str, k_max: int) -> EigengapReport:
     """Report the smallest ``k_max`` nontrivial values and their gap ratios.
 
-    For the aggregation methods these are generalized eigenvalues of the
-    weighted aggregate (quality weights need a target cluster count, supplied
-    via ``weight_k`` and defaulting to ``k_max + 1``); the joint
-    diagonalization method reports sorted mean-diagonal column scores.
-    ``suggested_k`` marks the largest consecutive ratio.
+    These are the eigenvalues of ``compute_embedding(set_, method, k_max + 1)``:
+    for the aggregation methods, generalized eigenvalues of the weighted
+    aggregate, with the mvscw and aasc weights targeting ``k_max + 1``
+    clusters; for the joint diagonalization method, sorted mean-diagonal
+    column scores.  ``suggested_k`` marks the largest consecutive ratio.
 
     Raises:
-        InvalidSpec: an unknown method, ``k_max`` outside ``1..n-1`` or
-            ``weight_k`` outside ``2..n``; all are checked before any
-            eigensolve.
+        InvalidSpec: an unknown method or ``k_max`` outside ``1..n-1``;
+            both are checked before any eigensolve.
     """
     check_method(method)
     if not 1 <= k_max <= set_.n - 1:
         raise InvalidSpec(f"k_max={k_max} is outside 1..{set_.n - 1} for n={set_.n} vertices")
-    weight_k = k_max + 1 if weight_k is None else weight_k
-    if not 2 <= weight_k <= set_.n:
-        raise InvalidSpec(f"weight_k={weight_k} is outside 2..{set_.n}")
-    values = _embedding(set_, method, k_max + 1, weight_k)[0].eigenvalues
+    values = compute_embedding(set_, method, k_max + 1)[0].eigenvalues
     ratios = [float(values[i + 1] / values[i]) for i in range(len(values) - 1)]
     suggested = (int(np.argmax(ratios)) + 2) if ratios else 2
     return EigengapReport(
@@ -169,12 +163,11 @@ def _disjoint_pair(rng: np.random.Generator, m: int, gamma: int):
     return order[:gamma].tolist(), order[gamma:2 * gamma].tolist()
 
 
-def _trial_dice(set_: MultiViewSet, cfg: ExperimentConfig, gamma: int, trial: int,
-                subset_sampler) -> float:
+def _trial_dice(set_: MultiViewSet, cfg: ExperimentConfig, gamma: int, trial: int) -> float:
     seq = np.random.SeedSequence([cfg.rng_seed, gamma, trial])
     sample_seed, seed_a, seed_b = seq.spawn(3)
     rng = np.random.default_rng(sample_seed)
-    idx_a, idx_b = subset_sampler(rng, set_.m, gamma)
+    idx_a, idx_b = _disjoint_pair(rng, set_.m, gamma)
     labellings = []
     for indices, child in ((idx_a, seed_a), (idx_b, seed_b)):
         subset = set_.subset(indices)
@@ -200,8 +193,7 @@ class ConsistencyResult:
     rng_seed: int
 
 
-def consistency_experiment(set_: MultiViewSet, cfg: ExperimentConfig,
-                           subset_sampler=None) -> ConsistencyResult:
+def consistency_experiment(set_: MultiViewSet, cfg: ExperimentConfig) -> ConsistencyResult:
     """Dice agreement between labellings from disjoint same-size subsets.
 
     For every group size and trial, two non-overlapping subsets are drawn,
@@ -210,9 +202,8 @@ def consistency_experiment(set_: MultiViewSet, cfg: ExperimentConfig,
     trial can be reproduced alone.
     """
     cfg.validate(set_.m)
-    sampler = subset_sampler or _disjoint_pair
     cells = [(gamma, t) for gamma in cfg.group_sizes for t in range(cfg.trials)]
-    results = [_trial_dice(set_, cfg, gamma, t, sampler) for gamma, t in cells]
+    results = [_trial_dice(set_, cfg, gamma, t) for gamma, t in cells]
     values: dict = {gamma: [] for gamma in cfg.group_sizes}
     for (gamma, _), value in zip(cells, results):
         values[gamma].append(float(value))
@@ -378,11 +369,10 @@ def run_pipeline(set_: MultiViewSet, cfg: ExperimentConfig) -> RunReport:
         mode_support=[float(s) for s in labelling.mode_support],
         seeds_used=labelling.seeds_used,
         empty_clusters=list(labelling.empty_clusters),
-        aligned_to_first=labelling.aligned_to_first,
         weights=None if weights is None else [float(w) for w in weights],
         eigenvalues=[float(v) for v in emb.eigenvalues],
         embedding_seconds=float(embedding_seconds),
-        version=report_version(),
+        version=__version__,
         config={
             "method": cfg.method,
             "k": cfg.k,

@@ -45,12 +45,14 @@ class ViewGraph:
     can be shared freely across threads.
     """
 
-    n: int
     weights: np.ndarray
-    label: str | None = None
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
 
     @classmethod
-    def from_weights(cls, weights, label: str | None = None) -> "ViewGraph":
+    def from_weights(cls, weights) -> "ViewGraph":
         """Validate, symmetrize and freeze a raw affinity matrix.
 
         The matrix must be square with finite nonnegative entries and finite
@@ -87,7 +89,7 @@ class ViewGraph:
             if not np.all(np.isfinite(w.sum(axis=1))):
                 raise InvalidWeights("affinity matrix degrees overflow float64")
         w.setflags(write=False)
-        return cls(n=w.shape[0], weights=w, label=label)
+        return cls(weights=w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +123,7 @@ class Partition:
         return x
 
 
-def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
+def graph_from_timeseries(series) -> ViewGraph:
     """Build an affinity graph from region time series.
 
     Pairwise Pearson correlations between columns are clamped to
@@ -130,7 +132,6 @@ def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
 
     Args:
         series: T x n array, one column of T samples per region.
-        label: optional view identifier.
 
     Raises:
         DimensionError: fewer than 3 samples or fewer than 2 regions.
@@ -161,7 +162,7 @@ def graph_from_timeseries(series, label: str | None = None) -> ViewGraph:
     weights = np.arctanh(corr)
     np.maximum(weights, 0.0, out=weights)
     np.fill_diagonal(weights, 0.0)
-    return ViewGraph.from_weights(weights, label=label)
+    return ViewGraph.from_weights(weights)
 
 
 def degree(g: ViewGraph) -> np.ndarray:

@@ -23,22 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .errors import DimensionMismatch, IsolatedVertex, ParseError
 from .graphs import ViewGraph, graph_from_timeseries
 from .multiview import MultiViewSet
 
 TYPE_TIMESERIES = "timeseries"
 TYPE_ADJACENCY = "adjacency"
-
-
-@dataclass
-class LoadReport:
-    """Bookkeeping from loading a set of view files."""
-
-    files: list
-    negative_entries_zeroed: dict
-    total_negative_entries: int
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -140,7 +130,7 @@ def read_matrix_csv(path):
     return _scan_matrix_csv(lines, path)
 
 
-def load_adjacency(path, label: str | None = None):
+def load_adjacency(path):
     """Load one adjacency CSV as a view.
 
     Returns:
@@ -152,13 +142,13 @@ def load_adjacency(path, label: str | None = None):
     negatives = int(np.count_nonzero(matrix < 0.0))
     if negatives:
         matrix = np.maximum(matrix, 0.0)
-    return ViewGraph.from_weights(matrix, label=label or Path(path).name), negatives
+    return ViewGraph.from_weights(matrix), negatives
 
 
-def load_timeseries(path, label: str | None = None) -> ViewGraph:
+def load_timeseries(path) -> ViewGraph:
     """Load one time-series CSV and build its correlation graph."""
     matrix, _ = read_matrix_csv(path)
-    return graph_from_timeseries(matrix, label=label or Path(path).name)
+    return graph_from_timeseries(matrix)
 
 
 def read_manifest(path) -> list:
@@ -190,7 +180,7 @@ def load_views(source):
     """Load a multi-view set from a manifest path or (path, type) pairs.
 
     Returns:
-        (MultiViewSet, LoadReport)
+        (MultiViewSet, total number of negative adjacency entries zeroed)
 
     Raises:
         ParseError, DimensionMismatch, IsolatedVertex: surfaced with the
@@ -201,7 +191,7 @@ def load_views(source):
     else:
         entries = [(Path(p), kind) for p, kind in source]
     views = []
-    zeroed = {}
+    zeroed = 0
     n = None
     for file_path, kind in entries:
         if kind == TYPE_TIMESERIES:
@@ -217,13 +207,8 @@ def load_views(source):
         if isolated.size:
             raise IsolatedVertex(int(isolated[0]), detail=f" in {file_path}")
         views.append(view)
-        zeroed[str(file_path)] = count
-    report = LoadReport(
-        files=[str(p) for p, _ in entries],
-        negative_entries_zeroed=zeroed,
-        total_negative_entries=sum(zeroed.values()),
-    )
-    return MultiViewSet(views), report
+        zeroed += count
+    return MultiViewSet(views), zeroed
 
 
 def write_matrix_csv(matrix, path, header=None) -> None:
@@ -267,7 +252,6 @@ class RunReport:
     mode_support: list
     seeds_used: int
     empty_clusters: list
-    aligned_to_first: bool
     weights: list | None
     eigenvalues: list
     embedding_seconds: float
@@ -276,18 +260,3 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return to_jsonable(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
-
-    def to_json(self, path=None) -> str:
-        return dump_json(self.to_dict(), path)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
-
-
-def report_version() -> str:
-    return __version__

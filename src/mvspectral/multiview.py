@@ -88,7 +88,7 @@ class MultiViewSet:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Nonnegative per-view weights summing to one."""
+    """Finite nonnegative per-view weights summing to one."""
 
     alpha: np.ndarray
 
@@ -96,6 +96,8 @@ class WeightVector:
         a = np.asarray(self.alpha, dtype=np.float64)
         if a.ndim != 1:
             raise DimensionError("weights must be a 1-d vector")
+        if not np.isfinite(a).all():
+            raise InvalidWeightVector("weights must be finite")
         if float(a.min(initial=0.0)) < 0.0:
             raise InvalidWeightVector("weights must be nonnegative")
         if abs(float(a.sum()) - 1.0) > 1e-12:
@@ -121,7 +123,7 @@ def aggregate(set_: MultiViewSet, w: WeightVector) -> ViewGraph:
     # A convex combination of validated views is itself symmetric, finite,
     # nonnegative and zero on the diagonal, so from_weights would only
     # repeat its checks.
-    return ViewGraph(n=set_.n, weights=weights)
+    return ViewGraph(weights=weights)
 
 
 def mvsc_weights(m: int) -> WeightVector:

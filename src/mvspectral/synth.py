@@ -81,7 +81,7 @@ def synth_views(spec: SyntheticSpec):
         w[upper] = np.maximum(0.0, rng.normal(means[upper], sds[upper]))
         w = w + w.T
         try:
-            views.append(ViewGraph.from_weights(w, label=f"synthetic-{i:03d}"))
+            views.append(ViewGraph.from_weights(w))
         except InvalidWeights as exc:
             raise InvalidSpec(f"synthetic view {i}: {exc}") from exc
     return MultiViewSet(views), Partition(assignment=labels, k=spec.k_true)

@@ -129,6 +129,23 @@ class TestIngest:
         assert matrix.shape == (4, 4)
         np.testing.assert_allclose(matrix, matrix.T)
 
+    def test_repeated_output_name_writes_nothing(self, tmp_path, capsys):
+        series = "\n".join(",".join(repr(float(v)) for v in row)
+                           for row in np.random.default_rng(2).normal(size=(25, 4))) + "\n"
+        inputs = []
+        for subdir in ("a", "b"):
+            (tmp_path / subdir).mkdir()
+            inputs.append(tmp_path / subdir / "subj.csv")
+            inputs[-1].write_text(series)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        code = run_cli(["ingest", *inputs, "--outdir", outdir,
+                        "--output", tmp_path / "ingest.json"])
+        assert code == 4
+        assert "subj.adj.csv" in capsys.readouterr().err
+        assert not any(outdir.iterdir())
+        assert not (tmp_path / "ingest.json").exists()
+
 
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):

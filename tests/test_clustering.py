@@ -513,7 +513,6 @@ class TestConsensusLabelling:
         assert lab.assignment[0] != lab.assignment[3]
         np.testing.assert_array_equal(lab.mode_support, 1.0)
         assert lab.empty_clusters == ()
-        assert lab.aligned_to_first
 
     def test_planted_blobs_match_truth(self):
         rng = np.random.default_rng(11)

@@ -19,6 +19,8 @@ from mvspectral import (
     SyntheticSpec,
     ViewGraph,
     WeightVector,
+    compute_embedding,
+    consistency_experiment,
     generalized_eig,
     graph_from_timeseries,
     joint_diagonalize,
@@ -36,6 +38,11 @@ def triangle():
     return ViewGraph.from_weights(np.ones((3, 3)))
 
 
+def consistency_on_triangles(k=2, group_sizes=(1,), trials=1, num_seeds=2):
+    cfg = ExperimentConfig(k=k, group_sizes=group_sizes, trials=trials, num_seeds=num_seeds)
+    return consistency_experiment(MultiViewSet([triangle()] * 4), cfg)
+
+
 def series_with_nan():
     ts = np.random.default_rng(0).normal(size=(6, 3))
     ts[2, 1] = np.nan
@@ -48,6 +55,7 @@ def series_with_nan():
     (lambda: generalized_eig(np.eye(3)), InvalidView, TypeError, 2),
     (lambda: WeightVector(np.array([1.5, -0.5])), InvalidWeightVector, ValueError, 4),
     (lambda: WeightVector(np.array([0.3, 0.3])), InvalidWeightVector, ValueError, 4),
+    (lambda: WeightVector(np.array([np.nan, 0.5, 0.5])), InvalidWeightVector, ValueError, 4),
     (lambda: off_cost([np.eye(3)], 2.0 * np.eye(3)), NotOrthogonal, ValueError, 2),
     (lambda: joint_diagonalize_matrices([]), DimensionMismatch, Exception, 2),
     (lambda: joint_diagonalize_matrices([np.eye(2), np.eye(3)]), DimensionMismatch, Exception, 2),
@@ -78,12 +86,27 @@ def series_with_nan():
     (lambda: timing_experiment(MultiViewSet([triangle()]), ["mvsc", "mvsc"], k=2,
                                group_sizes=[1]),
      InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(trials=2.5), InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(group_sizes=(2.0,)), InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(num_seeds=2.5), InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(k=2.5), InvalidSpec, Exception, 4),
+    (lambda: timing_experiment(MultiViewSet([triangle()]), ["mvsc"], k=2, group_sizes=[1],
+                               trials=1.5),
+     InvalidSpec, Exception, 4),
+    (lambda: timing_experiment(MultiViewSet([triangle()]), ["mvsc"], k=2, group_sizes=[1.0]),
+     InvalidSpec, Exception, 4),
+    (lambda: compute_embedding(MultiViewSet([triangle()]), "mvsc", 2.5),
+     InvalidSpec, Exception, 4),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
+        "weights-nan",
         "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite",
         "jdl-zero-sweeps", "jdl-negative-sweeps", "jdl-negative-tol", "jdl-nan-tol", "jdl-inf-tol",
         "jdl-graphs-zero-sweeps", "jdl-graphs-nan-tol", "synth-inf-sd", "synth-inf-mean",
         "synth-nan-sd", "synth-overflow-degrees", "consistency-repeated-size",
-        "timing-repeated-size", "timing-no-methods", "timing-repeated-method"])
+        "timing-repeated-size", "timing-no-methods", "timing-repeated-method",
+        "consistency-fractional-trials", "consistency-float-size",
+        "consistency-fractional-seeds", "consistency-fractional-k", "timing-fractional-trials",
+        "timing-float-size", "embedding-fractional-k"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()

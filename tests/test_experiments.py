@@ -67,7 +67,7 @@ class TestEigengapReport:
     def test_weighted_variants_run(self, planted_small):
         views, truth = planted_small
         for method in ("mvscw", "aasc"):
-            report = eigengap_report(views, method, k_max=6, weight_k=truth.k)
+            report = eigengap_report(views, method, k_max=6)
             assert report.suggested_k == truth.k
 
     def test_aasc_reuses_its_final_embedding(self, monkeypatch):
@@ -85,12 +85,12 @@ class TestEigengapReport:
 
 
 class TestConsistencyExperiment:
-    def test_forced_identical_subsets_give_dice_one(self, planted_small):
+    def test_forced_identical_subsets_give_dice_one(self, planted_small, monkeypatch):
         views, _ = planted_small
         cfg = ExperimentConfig(method="mvsc", k=4, group_sizes=(2,), trials=1,
                                num_seeds=5, rng_seed=0)
-        same = lambda rng, m, gamma: ([0, 1], [0, 1])
-        result = consistency_experiment(views, cfg, subset_sampler=same)
+        monkeypatch.setattr(experiments, "_disjoint_pair", lambda rng, m, gamma: ([0, 1], [0, 1]))
+        result = consistency_experiment(views, cfg)
         assert result.dice_values[2] == [1.0]
 
     def test_shapes_and_summary(self, planted_small):
@@ -104,20 +104,22 @@ class TestConsistencyExperiment:
             assert set(stats) == {"min", "q1", "median", "q3", "max"}
             assert stats["min"] <= stats["median"] <= stats["max"]
 
-    def test_sampled_subsets_disjoint_with_expected_size(self):
+    def test_sampled_subsets_disjoint_with_expected_size(self, monkeypatch):
         seen = []
+        sample = experiments._disjoint_pair
 
         def spy(rng, m, gamma):
-            order = rng.permutation(m)
-            pair = (order[:gamma].tolist(), order[gamma:2 * gamma].tolist())
+            pair = sample(rng, m, gamma)
             seen.append(pair)
             return pair
+
+        monkeypatch.setattr(experiments, "_disjoint_pair", spy)
 
         spec = SyntheticSpec(n=12, k_true=2, m=10, rng_seed=3)
         views, _ = synth_views(spec)
         cfg = ExperimentConfig(method="mvsc", k=2, group_sizes=(3,), trials=4,
                                num_seeds=3, rng_seed=2)
-        consistency_experiment(views, cfg, subset_sampler=spy)
+        consistency_experiment(views, cfg)
         assert len(seen) == 4
         for a, b in seen:
             assert len(a) == len(b) == 3
@@ -274,15 +276,13 @@ class TestRunPipeline:
         assert abs(weights.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("k_max, weight_k, message", [
-    (0, None, "k_max=0 is outside 1..39"),
-    (40, None, "k_max=40 is outside 1..39"),
-    (3, 1, "weight_k=1 is outside 2..40"),
-    (3, 41, "weight_k=41 is outside 2..40"),
-], ids=["k-max-zero", "k-max-n", "weight-k-one", "weight-k-above-n"])
+@pytest.mark.parametrize("k_max, message", [
+    (0, "k_max=0 is outside 1..39"),
+    (40, "k_max=40 is outside 1..39"),
+], ids=["k-max-zero", "k-max-n"])
 @pytest.mark.parametrize("method", METHODS)
 def test_eigengap_sizes_are_config_errors_before_any_solve(planted_small, monkeypatch, method,
-                                                          k_max, weight_k, message):
+                                                          k_max, message):
     views, _ = planted_small
 
     def no_solve(*args, **kwargs):
@@ -292,7 +292,7 @@ def test_eigengap_sizes_are_config_errors_before_any_solve(planted_small, monkey
                  "joint_diagonalize"):
         monkeypatch.setattr(experiments, name, no_solve)
     with pytest.raises(InvalidSpec, match=message) as info:
-        eigengap_report(views, method, k_max, weight_k=weight_k)
+        eigengap_report(views, method, k_max)
     assert info.value.exit_code == 4
 
 

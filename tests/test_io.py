@@ -7,7 +7,6 @@ import mvspectral.io
 from mvspectral import (
     DimensionMismatch,
     ParseError,
-    RunReport,
     ZeroVarianceColumn,
     dump_json,
     load_views,
@@ -179,17 +178,17 @@ class TestManifestAndLoadViews:
 
     def test_load_from_manifest(self, tmp_path):
         manifest = self.make_family(tmp_path, n=4, m=2)
-        views, report = load_views(manifest)
+        views, negatives = load_views(manifest)
         assert views.m == 2 and views.n == 4
-        assert report.total_negative_entries == 0
+        assert negatives == 0
 
     def test_negative_accounting_matches_independent_scan(self, tmp_path):
         raw = np.array([[0.0, -0.2, 0.4], [-0.2, 0.0, 0.9], [0.4, 0.9, 0.0]])
         write_csv(tmp_path / "one.csv", raw.tolist())
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"path": "one.csv", "type": "adjacency"}]))
-        _, report = load_views(manifest)
-        assert report.total_negative_entries == int(np.count_nonzero(raw < 0))
+        _, negatives = load_views(manifest)
+        assert negatives == int(np.count_nonzero(raw < 0))
 
     def test_inconsistent_dimensions(self, tmp_path):
         write_csv(tmp_path / "a.csv", (np.ones((3, 3)) - np.eye(3)).tolist())
@@ -255,20 +254,6 @@ class TestManifestAndLoadViews:
 
 
 class TestRunReport:
-    def sample(self):
-        return RunReport(
-            method="mvsc", k=3, assignment=[1, 2, 3, 1], mode_support=[1.0, 0.9, 1.0, 0.7],
-            seeds_used=100, empty_clusters=[], aligned_to_first=True,
-            weights=[0.5, 0.5], eigenvalues=[0.1, 0.2],
-            embedding_seconds=0.012, version="0.1.0", config={"k": 3},
-        )
-
-    def test_round_trip_idempotent(self):
-        report = self.sample()
-        text = report.to_json()
-        again = RunReport.from_json(text).to_json()
-        assert text == again
-
     def test_json_sorted_and_deterministic(self):
         a = dump_json({"b": 1, "a": [1, 2]})
         b = dump_json({"a": [1, 2], "b": 1})
