@@ -43,6 +43,7 @@ from .eigen import (
     EigenPairs,
     Embedding,
     generalized_eig,
+    generalized_eigvals,
     smallest_nontrivial,
 )
 from .multiview import (

@@ -142,13 +142,13 @@ def _cmd_ingest(args) -> None:
     if repeated:
         raise InvalidSpec(f"inputs would write the same file in {args.outdir}: "
                           f"{', '.join(repeated)}")
+    # Every input is read before any output is written, so a bad input
+    # leaves no partial output behind.
+    views = [load_timeseries(source) for source in args.inputs]
     args.outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for source, target in zip(args.inputs, targets):
-        view = load_timeseries(source)
+    for view, target in zip(views, targets):
         write_matrix_csv(view.weights, target)
-        written.append(str(target))
-    _emit({"written": written, "vertices": view.n}, args.output)
+    _emit({"written": [str(t) for t in targets], "vertices": views[-1].n}, args.output)
 
 
 def _cmd_synth(args) -> None:

@@ -2,12 +2,15 @@
 
 The generalized problem L x = lambda D x with diagonal positive D is reduced
 to an ordinary symmetric problem on D^(-1/2) L D^(-1/2) and back-substituted,
-so the returned eigenvectors are D-orthonormal.  ``generalized_eig`` is the
-one solve of that pencil: it takes the graph, so L = D - W and D always come
-from the same W, and given ``count`` it asks LAPACK for the smallest
-``count`` eigenpairs only, which is all an embedding of k clusters uses.
-Column signs follow a fixed convention (largest-magnitude entry positive,
-ties broken by lowest index) to make outputs reproducible.
+so the returned eigenvectors are D-orthonormal.  Both solves of that pencil
+take the graph, so L = D - W and D always come from the same W, and share
+one validation and reduction.  ``generalized_eig`` asks LAPACK for the
+smallest ``count`` eigenpairs only, which is all an embedding of k clusters
+uses; ``generalized_eigvals`` asks for their values alone, which is all a
+view's relaxed cost uses, and returns the same bits as
+``generalized_eig(g, count).values``.  Column signs follow a fixed
+convention (largest-magnitude entry positive, ties broken by lowest index)
+to make outputs reproducible.
 """
 
 from __future__ import annotations
@@ -58,6 +61,32 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return v * signs[None, :]
 
 
+def _solve(g: ViewGraph, count: int | None, vectors: bool):
+    """Validate, reduce the pencil (L, D) of ``g`` and solve its smallest
+    ``count`` eigenvalues, with the reduced eigenvectors when ``vectors``.
+
+    Returns ``(values, reduced vectors or None, degrees)``.
+    """
+    if not isinstance(g, ViewGraph):
+        raise InvalidView(f"expected a ViewGraph, got {type(g).__name__}")
+    d = degree(g)
+    if count is not None and not 1 <= count <= g.n:
+        raise DimensionError(f"count must be in 1..{g.n}, got {count}")
+    subset = None if count is None else [0, count - 1]
+    # Without vectors LAPACK finds a full spectrum by another algorithm
+    # (dsterf, not dstemr) that rounds differently, so a full spectrum is
+    # always solved with them.
+    values_only = not vectors and count is not None and count < g.n
+    try:
+        result = scipy.linalg.eigh(degree_scaled(laplacian(g), d),
+                                   eigvals_only=values_only, subset_by_index=subset)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        raise NoConvergence(str(exc)) from exc
+    if values_only:
+        return result, None, d
+    return (*result, d)
+
+
 def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
     """Smallest ``count`` eigenpairs of the pencil (L, D) of ``g`` (all n when None).
 
@@ -69,21 +98,27 @@ def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
         DimensionError: ``count`` is outside 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
-    if not isinstance(g, ViewGraph):
-        raise InvalidView(f"expected a ViewGraph, got {type(g).__name__}")
-    d = degree(g)
-    if count is not None and not 1 <= count <= g.n:
-        raise DimensionError(f"count must be in 1..{g.n}, got {count}")
-    subset = None if count is None else [0, count - 1]
-    try:
-        values, reduced = scipy.linalg.eigh(degree_scaled(laplacian(g), d),
-                                             subset_by_index=subset)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise NoConvergence(str(exc)) from exc
+    values, reduced, d = _solve(g, count, vectors=True)
     vectors = fix_column_signs(reduced / np.sqrt(d)[:, None])
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenPairs(values=values, vectors=vectors)
+
+
+def generalized_eigvals(g: ViewGraph, count: int) -> np.ndarray:
+    """Smallest ``count`` eigenvalues of the pencil (L, D) of ``g``, ascending.
+
+    The same bits as ``generalized_eig(g, count).values``, without computing
+    or back-substituting any eigenvector.
+
+    Raises:
+        InvalidView: ``g`` is not a ``ViewGraph``.
+        DimensionError: ``count`` is outside 1..n.
+        IsolatedVertex: some degree is not strictly positive.
+    """
+    values, _, _ = _solve(g, count, vectors=False)
+    values.setflags(write=False)
+    return values
 
 
 def zero_multiplicity(values: np.ndarray) -> int:

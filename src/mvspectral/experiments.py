@@ -51,11 +51,7 @@ class ExperimentConfig:
     row_normalize: bool = False
 
     def validate(self, available_views: int) -> None:
-        check_method(self.method)
-        if not (_is_int(self.k) and self.k >= 2):
-            raise InvalidSpec(f"need an integer k >= 2, got {self.k!r}")
-        if not (_is_int(self.num_seeds) and self.num_seeds >= 1):
-            raise InvalidSpec(f"need an integer num_seeds >= 1, got {self.num_seeds!r}")
+        self._validate_run()
         _check_grid(self.group_sizes, self.trials)
         biggest = 2 * max(self.group_sizes)
         if biggest > available_views:
@@ -63,6 +59,16 @@ class ExperimentConfig:
                 f"group size {max(self.group_sizes)} needs {biggest} disjoint views, "
                 f"only {available_views} available"
             )
+
+    def _validate_run(self) -> None:
+        """Check the settings of one embedding and consensus labelling."""
+        check_method(self.method)
+        if not (_is_int(self.k) and self.k >= 2):
+            raise InvalidSpec(f"need an integer k >= 2, got {self.k!r}")
+        if not (_is_int(self.num_seeds) and self.num_seeds >= 1):
+            raise InvalidSpec(f"need an integer num_seeds >= 1, got {self.num_seeds!r}")
+        if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise InvalidSpec(f"need an integer rng_seed >= 0, got {self.rng_seed!r}")
 
 
 def check_method(method: str) -> None:
@@ -354,7 +360,13 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
 
 
 def run_pipeline(set_: MultiViewSet, cfg: ExperimentConfig) -> RunReport:
-    """Embed, consensus-label and package one end-to-end run."""
+    """Embed, consensus-label and package one end-to-end run.
+
+    Raises:
+        InvalidSpec: a bad method, k, ``num_seeds`` or ``rng_seed``, checked
+            before any work.
+    """
+    cfg._validate_run()
     start = time.perf_counter()
     emb, weights = compute_embedding(set_, cfg.method, cfg.k)
     embedding_seconds = time.perf_counter() - start

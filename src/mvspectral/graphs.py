@@ -185,13 +185,19 @@ def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
     if bad.size:
         raise IsolatedVertex(int(bad[0]))
     inv_sqrt = 1.0 / np.sqrt(d)
-    scaled = matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return 0.5 * (scaled + scaled.T)
+    scaled = matrix * inv_sqrt[:, None]
+    scaled *= inv_sqrt[None, :]
+    sym = scaled + scaled.T
+    sym *= 0.5
+    return sym
 
 
 def laplacian(g: ViewGraph) -> np.ndarray:
     """The combinatorial (unnormalized) laplacian D - W, read-only."""
-    mat = np.diag(degree(g)) - g.weights
+    # 0.0 - w keeps +0.0 for a zero weight, as diag(d) - W does, and adding
+    # the degrees to the diagonal rounds as d - w does.
+    mat = np.subtract(0.0, g.weights)
+    mat[np.diag_indices(g.n)] += degree(g)
     mat.setflags(write=False)
     return mat
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Embedding, generalized_eig, smallest_nontrivial
+from .eigen import Embedding, generalized_eig, generalized_eigvals, smallest_nontrivial
 from .errors import (
     DegenerateViewSpectrum,
     DimensionError,
@@ -150,7 +150,7 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
     sums = np.empty(set_.m)
     for i, g in enumerate(set_.views):
         try:
-            values = generalized_eig(g, k).values
+            values = generalized_eigvals(g, k)
         except IsolatedVertex as exc:
             raise IsolatedVertex(exc.index, detail=f" in view {i}") from exc
         sums[i] = values[1:k].sum()

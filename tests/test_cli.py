@@ -146,6 +146,20 @@ class TestIngest:
         assert not any(outdir.iterdir())
         assert not (tmp_path / "ingest.json").exists()
 
+    def test_bad_input_writes_nothing(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in np.random.default_rng(3).normal(size=(25, 4))) + "\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2,3,4\n5,x,7,8\n")
+        outdir = tmp_path / "out"
+        code = run_cli(["ingest", good, bad, "--outdir", outdir,
+                        "--output", tmp_path / "ingest.json"])
+        assert code == 2
+        assert "bad.csv" in capsys.readouterr().err
+        assert not list(outdir.glob("*.adj.csv"))
+        assert not (tmp_path / "ingest.json").exists()
+
 
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):

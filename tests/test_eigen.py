@@ -10,7 +10,9 @@ from mvspectral import (
     Partition,
     ViewGraph,
     degree,
+    InvalidView,
     generalized_eig,
+    generalized_eigvals,
     laplacian,
     ncut_cost,
     smallest_nontrivial,
@@ -133,6 +135,43 @@ class TestGeneralizedEig:
         s1 = generalized_eig(g)
         s2 = generalized_eig(g)
         assert s1.vectors.tobytes() == s2.vectors.tobytes()
+
+
+def sparse_connected(rng, n):
+    """A random graph with many zero weights, kept connected by a path."""
+    w = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.3)
+    w[np.arange(n - 1), np.arange(1, n)] += 0.5
+    w = 0.5 * (w + w.T)
+    np.fill_diagonal(w, 0.0)
+    return graph_of(w)
+
+
+class TestGeneralizedEigvals:
+    def test_same_bits_as_eigenpair_values(self):
+        rng = np.random.default_rng(26)
+        for n in (2, 3, 5, 8, 13, 30, 61):
+            for g in (random_connected(rng, n), sparse_connected(rng, n)):
+                for count in sorted({1, 2, min(3, n), n // 2 or 1, n - 1 or 1, n}):
+                    values = generalized_eigvals(g, count)
+                    assert values.shape == (count,)
+                    assert values.tobytes() == generalized_eig(g, count).values.tobytes()
+
+    def test_read_only(self):
+        values = generalized_eigvals(random_connected(np.random.default_rng(27), 6), 3)
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("make, count, error", [
+        (lambda: np.eye(3), 2, InvalidView),
+        (lambda: random_connected(np.random.default_rng(28), 5), 0, DimensionError),
+        (lambda: random_connected(np.random.default_rng(28), 5), 6, DimensionError),
+        (lambda: graph_of([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), 2, IsolatedVertex),
+    ], ids=["not-a-graph", "count-zero", "count-above-n", "isolated-vertex"])
+    def test_same_errors_as_generalized_eig(self, make, count, error):
+        with pytest.raises(error) as values_error:
+            generalized_eigvals(make(), count)
+        with pytest.raises(error) as pairs_error:
+            generalized_eig(make(), count)
+        assert str(values_error.value) == str(pairs_error.value)
 
 
 class TestSmallestNontrivial:

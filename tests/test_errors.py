@@ -22,13 +22,16 @@ from mvspectral import (
     compute_embedding,
     consistency_experiment,
     generalized_eig,
+    generalized_eigvals,
     graph_from_timeseries,
     joint_diagonalize,
     joint_diagonalize_matrices,
     off_cost,
+    run_pipeline,
     synth_views,
     timing_experiment,
 )
+from mvspectral import experiments
 from mvspectral.cli import main
 
 SOURCES = sorted(Path(mvspectral.__file__).parent.glob("*.py"))
@@ -38,9 +41,14 @@ def triangle():
     return ViewGraph.from_weights(np.ones((3, 3)))
 
 
-def consistency_on_triangles(k=2, group_sizes=(1,), trials=1, num_seeds=2):
-    cfg = ExperimentConfig(k=k, group_sizes=group_sizes, trials=trials, num_seeds=num_seeds)
+def consistency_on_triangles(k=2, group_sizes=(1,), trials=1, num_seeds=2, rng_seed=0):
+    cfg = ExperimentConfig(k=k, group_sizes=group_sizes, trials=trials, num_seeds=num_seeds,
+                           rng_seed=rng_seed)
     return consistency_experiment(MultiViewSet([triangle()] * 4), cfg)
+
+
+def pipeline_on_triangles(**settings):
+    return run_pipeline(MultiViewSet([triangle()] * 2), ExperimentConfig(k=2, **settings))
 
 
 def series_with_nan():
@@ -53,6 +61,7 @@ def series_with_nan():
     (lambda: graph_from_timeseries(series_with_nan()), InvalidTimeSeries, ValueError, 2),
     (lambda: MultiViewSet([triangle(), np.ones((3, 3))]), InvalidView, TypeError, 2),
     (lambda: generalized_eig(np.eye(3)), InvalidView, TypeError, 2),
+    (lambda: generalized_eigvals(np.eye(3), 2), InvalidView, TypeError, 2),
     (lambda: WeightVector(np.array([1.5, -0.5])), InvalidWeightVector, ValueError, 4),
     (lambda: WeightVector(np.array([0.3, 0.3])), InvalidWeightVector, ValueError, 4),
     (lambda: WeightVector(np.array([np.nan, 0.5, 0.5])), InvalidWeightVector, ValueError, 4),
@@ -97,7 +106,13 @@ def series_with_nan():
      InvalidSpec, Exception, 4),
     (lambda: compute_embedding(MultiViewSet([triangle()]), "mvsc", 2.5),
      InvalidSpec, Exception, 4),
-], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "weights-negative", "weights-sum",
+    (lambda: pipeline_on_triangles(num_seeds=2.5), InvalidSpec, Exception, 4),
+    (lambda: pipeline_on_triangles(rng_seed=1.5), InvalidSpec, Exception, 4),
+    (lambda: pipeline_on_triangles(rng_seed=-1), InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(rng_seed=1.5), InvalidSpec, Exception, 4),
+    (lambda: consistency_on_triangles(rng_seed=-1), InvalidSpec, Exception, 4),
+], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "eigvals-graph-type",
+        "weights-negative", "weights-sum",
         "weights-nan",
         "basis-not-orthogonal", "jdl-empty-family", "jdl-mixed-shapes", "jdl-nonfinite",
         "jdl-zero-sweeps", "jdl-negative-sweeps", "jdl-negative-tol", "jdl-nan-tol", "jdl-inf-tol",
@@ -106,13 +121,29 @@ def series_with_nan():
         "timing-repeated-size", "timing-no-methods", "timing-repeated-method",
         "consistency-fractional-trials", "consistency-float-size",
         "consistency-fractional-seeds", "consistency-fractional-k", "timing-fractional-trials",
-        "timing-float-size", "embedding-fractional-k"])
+        "timing-float-size", "embedding-fractional-k", "pipeline-fractional-seeds",
+        "pipeline-fractional-rng-seed", "pipeline-negative-rng-seed",
+        "consistency-fractional-rng-seed", "consistency-negative-rng-seed"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, MVSpectralError)
     assert isinstance(info.value, builtin)
     assert info.value.exit_code == exit_code
+
+
+@pytest.mark.parametrize("run, settings", [
+    (pipeline_on_triangles, {"num_seeds": 2.5}),
+    (pipeline_on_triangles, {"rng_seed": 1.5}),
+    (consistency_on_triangles, {"rng_seed": 1.5}),
+], ids=["pipeline-num-seeds", "pipeline-rng-seed", "consistency-rng-seed"])
+def test_bad_seeds_are_rejected_before_any_embedding(run, settings, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedded before checking the seeds")
+
+    monkeypatch.setattr(experiments, "compute_embedding", refuse)
+    with pytest.raises(InvalidSpec):
+        run(**settings)
 
 
 @pytest.mark.parametrize("moments", ["1,inf", "inf,0.2"])

@@ -213,6 +213,32 @@ class TestLaplacian:
             normalized_laplacian(g)
         assert info.value.index == 2
 
+    def test_bytes_equal_plain_expressions(self):
+        # The kernels build with fewer temporaries; every bit, signed zeros
+        # included, must match diag(d) - W and the symmetrized 0.5 * (S + S.T).
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, density=float(rng.uniform(0.2, 1.0)))
+            d = degree(g)
+            plain = np.diag(d) - g.weights
+            assert laplacian(g).tobytes() == plain.tobytes()
+            if np.any(d <= 0.0):
+                continue
+            inv_sqrt = 1.0 / np.sqrt(d)
+            for matrix in (plain, g.weights):
+                scaled = matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
+                expected = 0.5 * (scaled + scaled.T)
+                assert degree_scaled(matrix, d).tobytes() == expected.tobytes()
+
+    def test_zero_weights_stay_positive_zero(self):
+        g = two_triangles()
+        lap = laplacian(g)
+        zeros = g.weights == 0.0
+        np.fill_diagonal(zeros, False)
+        assert not np.any(np.signbit(lap[zeros]))
+        assert not np.any(np.signbit(degree_scaled(lap, degree(g))[zeros]))
+
     def test_psd_over_many_random_graphs(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):

@@ -25,6 +25,7 @@ from mvspectral import (
     smallest_nontrivial,
     volume,
 )
+from mvspectral import eigen, multiview
 
 
 def graph_of(weights):
@@ -206,6 +207,18 @@ class TestMvscwWeights:
         set_ = MultiViewSet([random_view(rng, 6) for _ in range(2)])
         with pytest.raises(DimensionError):
             mvscw_weights(set_, k=7)
+
+    def test_solves_values_only(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        set_ = MultiViewSet([random_view(rng, 9) for _ in range(3)])
+        expected = mvscw_weights(set_, k=4).alpha
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mvscw_weights solved eigenvectors")
+
+        monkeypatch.setattr(multiview, "generalized_eig", refuse)
+        monkeypatch.setattr(eigen, "generalized_eig", refuse)
+        assert mvscw_weights(set_, k=4).alpha.tobytes() == expected.tobytes()
 
     def test_isolated_vertex_names_its_view(self):
         rng = np.random.default_rng(24)
