@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, DisconnectedGraph, InvalidView, NoConvergence
-from .graphs import ViewGraph, degree, degree_scaled, laplacian
+from .graphs import ViewGraph, _laplacian, degree, degree_scaled
 
 # Every eigenvalue of a graph's pencil (L, D) lies in [0, 2]; eigenvalues
 # below ZERO_TOL_FACTOR times that bound count as "trivial" zeros.
@@ -78,7 +78,7 @@ def _solve(g: ViewGraph, count: int | None, vectors: bool):
     # always solved with them.
     values_only = not vectors and count is not None and count < g.n
     try:
-        result = scipy.linalg.eigh(degree_scaled(laplacian(g), d),
+        result = scipy.linalg.eigh(degree_scaled(_laplacian(g.weights, d), d),
                                    eigvals_only=values_only, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NoConvergence(str(exc)) from exc

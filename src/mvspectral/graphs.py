@@ -194,11 +194,17 @@ def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
 
 def laplacian(g: ViewGraph) -> np.ndarray:
     """The combinatorial (unnormalized) laplacian D - W, read-only."""
+    mat = _laplacian(g.weights, degree(g))
+    mat.setflags(write=False)
+    return mat
+
+
+def _laplacian(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """diag(degrees) - weights, for degrees already summed from weights."""
     # 0.0 - w keeps +0.0 for a zero weight, as diag(d) - W does, and adding
     # the degrees to the diagonal rounds as d - w does.
-    mat = np.subtract(0.0, g.weights)
-    mat[np.diag_indices(g.n)] += degree(g)
-    mat.setflags(write=False)
+    mat = np.subtract(0.0, weights)
+    mat[np.diag_indices(len(degrees))] += degrees
     return mat
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IsolatedVertex, ParseError
+from .errors import DimensionError, DimensionMismatch, IsolatedVertex, ParseError
 from .graphs import ViewGraph, graph_from_timeseries
 from .multiview import MultiViewSet
 
@@ -179,36 +179,46 @@ def read_manifest(path) -> list:
 def load_views(source):
     """Load a multi-view set from a manifest path or (path, type) pairs.
 
+    Each view, once checked, is written into one (m, n, n) array, which is
+    then frozen: the family is held once, and the views are its slices.
+    The set's ``stack`` is that array, and sets over consecutive views share
+    it; subsets in any other order copy their views.  Any view keeps its
+    whole family's array alive.
+
     Returns:
         (MultiViewSet, total number of negative adjacency entries zeroed)
 
     Raises:
         ParseError, DimensionMismatch, IsolatedVertex: surfaced with the
             offending file named.
+        DimensionError: no entries.
     """
     if isinstance(source, (str, Path)):
         entries = read_manifest(source)
     else:
         entries = [(Path(p), kind) for p, kind in source]
-    views = []
+    stack = None
     zeroed = 0
-    n = None
-    for file_path, kind in entries:
+    for i, (file_path, kind) in enumerate(entries):
         if kind == TYPE_TIMESERIES:
             view = load_timeseries(file_path)
             count = 0
         else:
             view, count = load_adjacency(file_path)
-        if n is None:
-            n = view.n
-        elif view.n != n:
-            raise DimensionMismatch(f"{file_path}: has {view.n} vertices, expected {n}")
+        if stack is None:
+            stack = np.empty((len(entries), view.n, view.n))
+        elif view.n != stack.shape[1]:
+            raise DimensionMismatch(
+                f"{file_path}: has {view.n} vertices, expected {stack.shape[1]}")
         isolated = np.flatnonzero(view.weights.sum(axis=1) <= 0.0)
         if isolated.size:
             raise IsolatedVertex(int(isolated[0]), detail=f" in {file_path}")
-        views.append(view)
+        stack[i] = view.weights
         zeroed += count
-    return MultiViewSet(views), zeroed
+    if stack is None:
+        raise DimensionError("need at least one view")
+    stack.setflags(write=False)
+    return MultiViewSet(ViewGraph(weights=weights) for weights in stack), zeroed
 
 
 def write_matrix_csv(matrix, path, header=None) -> None:

@@ -46,7 +46,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class MultiViewSet:
-    """Ordered collection of views over one shared vertex set."""
+    """Ordered collection of views over one shared vertex set.
+
+    ``synth_views`` and ``load_views`` hold a family once: each view's
+    weights are a slice of one read-only (m, n, n) array.  A set over
+    consecutive views of such an array (``views[a:b]``,
+    ``subset(range(a, b))``) takes its ``stack`` as a slice of that array,
+    with no copy.  Views in any other order, repeated views, independent
+    views or slices of a writable array are copied into a new stack.  Any
+    view keeps its whole family's array alive.
+    """
 
     def __init__(self, views):
         views = tuple(views)
@@ -66,10 +75,12 @@ class MultiViewSet:
 
     @property
     def stack(self) -> np.ndarray:
-        """m x n x n array of all affinity matrices."""
+        """Read-only m x n x n array of all affinity matrices."""
         if self._stack is None:
-            stack = np.stack([v.weights for v in self.views])
-            stack.setflags(write=False)
+            stack = _shared_stack(self.views)
+            if stack is None:
+                stack = np.stack([v.weights for v in self.views])
+                stack.setflags(write=False)
             self._stack = stack
         return self._stack
 
@@ -84,6 +95,31 @@ class MultiViewSet:
 
     def subset(self, indices) -> "MultiViewSet":
         return MultiViewSet([self.views[i] for i in indices])
+
+
+def _shared_stack(views):
+    """The slice of one family array that ``views`` are, in order, or None.
+
+    The family is the array the first view's weights are a slice of.  It
+    must be a read-only, C-contiguous (M, n, n) array, and the views'
+    weights must be its consecutive slices.  A set over the whole family
+    gets the family array itself.
+    """
+    first = views[0].weights
+    family = first.base
+    if not (isinstance(family, np.ndarray) and family.ndim == 3
+            and family.shape[1:] == first.shape and first.size
+            and family.flags.c_contiguous and not family.flags.writeable):
+        return None
+    start, offset = divmod(first.ctypes.data - family.ctypes.data, first.nbytes)
+    if offset or not 0 <= start <= len(family) - len(views):
+        return None
+    stack = family[start:start + len(views)]
+    for view, part in zip(views, stack):
+        if (view.weights.base is not family
+                or view.weights.__array_interface__ != part.__array_interface__):
+            return None
+    return family if len(stack) == len(family) else stack
 
 
 @dataclass(frozen=True, eq=False)

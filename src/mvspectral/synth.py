@@ -59,6 +59,11 @@ def synth_views(spec: SyntheticSpec):
 
     Upper-triangle weights are drawn once per undirected pair from the
     within- or between-block distribution, clipped at zero, then mirrored.
+    Each view, once checked, is written into one (m, n, n) array, which is
+    then frozen: the family is held once, and the views are its slices.
+    The set's ``stack`` is that array, and sets over consecutive views share
+    it; subsets in any other order copy their views.  Any view keeps its
+    whole family's array alive.
 
     Returns:
         (MultiViewSet, Partition)
@@ -75,13 +80,19 @@ def synth_views(spec: SyntheticSpec):
     sds = np.where(same_block, spec.intra_sd, spec.inter_sd)
     upper = np.triu_indices(spec.n, k=1)
     rng = np.random.default_rng(spec.rng_seed)
-    views = []
+    stack = np.empty((spec.m, spec.n, spec.n))
     for i in range(spec.m):
         w = np.zeros((spec.n, spec.n))
         w[upper] = np.maximum(0.0, rng.normal(means[upper], sds[upper]))
         w = w + w.T
+        # Holding each checked view until the next one is built keeps the
+        # heap from shrinking between views, so their temporaries reuse
+        # pages instead of faulting in fresh ones.
         try:
-            views.append(ViewGraph.from_weights(w))
+            view = ViewGraph.from_weights(w)
         except InvalidWeights as exc:
             raise InvalidSpec(f"synthetic view {i}: {exc}") from exc
-    return MultiViewSet(views), Partition(assignment=labels, k=spec.k_true)
+        stack[i] = view.weights
+    stack.setflags(write=False)
+    views = MultiViewSet(ViewGraph(weights=weights) for weights in stack)
+    return views, Partition(assignment=labels, k=spec.k_true)

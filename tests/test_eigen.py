@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mvspectral import (
     DimensionError,
@@ -17,6 +18,8 @@ from mvspectral import (
     ncut_cost,
     smallest_nontrivial,
 )
+from mvspectral.eigen import fix_column_signs
+from mvspectral.graphs import degree_scaled
 
 
 def graph_of(weights):
@@ -172,6 +175,47 @@ class TestGeneralizedEigvals:
         with pytest.raises(error) as pairs_error:
             generalized_eig(make(), count)
         assert str(values_error.value) == str(pairs_error.value)
+
+
+def weighted_path():
+    """The path 0-1-2-3 with weights 1, 2, 3.
+
+    Its reduced pencil is already tridiagonal, so LAPACK's reduction leaves
+    it as it is.  The spectrum is 0, 1 - 1/sqrt(5), 1 + 1/sqrt(5) and 2.
+    """
+    w = np.zeros((4, 4))
+    w[[0, 1, 2], [1, 2, 3]] = [1.0, 2.0, 3.0]
+    return graph_of(w + w.T)
+
+
+class TestPinnedSolve:
+    def test_path_values_and_vectors(self):
+        g = weighted_path()
+        full = generalized_eig(g)
+        assert full.values.tolist() == [
+            2.220446049250313e-15, 0.5527864045000423, 1.4472135954999592, 2.0000000000000004]
+        assert full.vectors.tolist() == [
+            [0.28867513459481325, 0.645497224367903, 0.6454972243679027, -0.28867513459481264],
+            [0.2886751345948127, 0.28867513459481287, -0.2886751345948133, 0.2886751345948127],
+            [0.28867513459481275, -0.1290994448735806, -0.12909944487358066, -0.288675134594813],
+            [0.28867513459481314, -0.2886751345948128, 0.2886751345948126, 0.28867513459481303],
+        ]
+        partial = [3.931821209266025e-17, 0.5527864045000419, 1.447213595499958]
+        assert generalized_eig(g, 3).values.tolist() == partial
+        assert generalized_eigvals(g, 3).tolist() == partial
+        assert generalized_eigvals(g, 2).tolist() == [-1.840917822584216e-16, 0.5527864045000419]
+
+    def test_pencil_is_laplacian_over_degree(self):
+        rng = np.random.default_rng(29)
+        for g in (weighted_path(), random_connected(rng, 9), sparse_connected(rng, 14)):
+            d = degree(g)
+            reduced = degree_scaled(laplacian(g), d)
+            values, vectors = scipy.linalg.eigh(reduced, subset_by_index=[0, 2])
+            expected = fix_column_signs(vectors / np.sqrt(d)[:, None])
+            assert generalized_eig(g, 3).values.tobytes() == values.tobytes()
+            assert generalized_eig(g, 3).vectors.tobytes() == expected.tobytes()
+            assert generalized_eigvals(g, 2).tobytes() == scipy.linalg.eigh(
+                reduced, eigvals_only=True, subset_by_index=[0, 1]).tobytes()
 
 
 class TestSmallestNontrivial:
