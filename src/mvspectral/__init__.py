@@ -37,6 +37,7 @@ from .graphs import (
     graph_from_timeseries,
     laplacian,
     ncut_cost,
+    normalized_laplacian,
     volume,
 )
 from .eigen import (

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Embedding
-from .errors import NonFiniteDistances, ShapeMismatch, TooFewPoints
+from .errors import InvalidSpec, NonFiniteDistances, ShapeMismatch, TooFewPoints, _is_int
 
 KMEANS_MAX_ITER = 300
 
@@ -91,9 +91,14 @@ def _points(points, k: int) -> np.ndarray:
     if pts.ndim != 2:
         raise TooFewPoints(f"points must be 2-d, got shape {pts.shape}")
     n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise TooFewPoints(f"need 1 <= k <= {n}, got {k}")
+    if not (_is_int(k) and 1 <= k <= n):
+        raise TooFewPoints(f"need an integer 1 <= k <= {n}, got {k!r}")
     return pts
+
+
+def _check_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidSpec(f"need an integer seed >= 0, got {seed!r}")
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray):
@@ -263,9 +268,11 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
         (assignment with ids 1..k, final objective)
 
     Raises:
-        TooFewPoints: fewer points than clusters.
+        TooFewPoints: ``k`` is not an integer in 1..n for n points.
+        InvalidSpec: ``seed`` is not an integer of at least 0.
         NonFiniteDistances: squared distances overflow, or a point is NaN.
     """
+    _check_seed(seed)
     assign, objective = _lloyd(_points(points, k), k, [seed], max_iter, track)
     return assign[0] + 1, float(objective[0])
 
@@ -381,9 +388,15 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     ``best_label_permutation``.  Ties go to the lowest cluster id.  Cluster
     ids that win no vertex are reported in the metadata, not repaired.
     ``scipy.optimize`` is imported on every call, solve or not.
+
+    Raises:
+        TooFewPoints: ``k`` is not an integer in 1..n for n points, or
+            ``num_seeds`` is not an integer of at least 1.
+        InvalidSpec: ``base_seed`` is not an integer of at least 0.
     """
-    if num_seeds < 1:
-        raise TooFewPoints(f"need at least one seed, got {num_seeds}")
+    if not (_is_int(num_seeds) and num_seeds >= 1):
+        raise TooFewPoints(f"need an integer number of seeds >= 1, got {num_seeds!r}")
+    _check_seed(base_seed)
     # Loaded whether or not a table needs it: see the module docstring.
     import scipy.optimize  # noqa: F401
     points = emb.coords if isinstance(emb, Embedding) else np.asarray(emb, dtype=np.float64)

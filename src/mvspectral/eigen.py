@@ -1,16 +1,16 @@
 """Generalized eigendecomposition of a graph's pencil (L, D).
 
 The generalized problem L x = lambda D x with diagonal positive D is reduced
-to an ordinary symmetric problem on D^(-1/2) L D^(-1/2) and back-substituted,
-so the returned eigenvectors are D-orthonormal.  Both solves of that pencil
-take the graph, so L = D - W and D always come from the same W, and share
-one validation and reduction.  ``generalized_eig`` asks LAPACK for the
-smallest ``count`` eigenpairs only, which is all an embedding of k clusters
-uses; ``generalized_eigvals`` asks for their values alone, which is all a
-view's relaxed cost uses, and returns the same bits as
-``generalized_eig(g, count).values``.  Column signs follow a fixed
-convention (largest-magnitude entry positive, ties broken by lowest index)
-to make outputs reproducible.
+to an ordinary symmetric problem on D^(-1/2) L D^(-1/2), the graph's
+``normalized_laplacian``, and back-substituted, so the returned eigenvectors
+are D-orthonormal.  Both solves of that pencil take the graph, so L = D - W
+and D always come from the same W, and share one validation and reduction.
+``generalized_eig`` asks LAPACK for the smallest ``count`` eigenpairs only,
+which is all an embedding of k clusters uses; ``generalized_eigvals`` asks
+for their values alone, which is all a view's relaxed cost uses, and returns
+the same bits as ``generalized_eig(g, count).values``.  Column signs follow
+a fixed convention (largest-magnitude entry positive, ties broken by lowest
+index) to make outputs reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, DisconnectedGraph, InvalidView, NoConvergence
-from .graphs import ViewGraph, _laplacian, degree, degree_scaled
+from .graphs import ViewGraph, degree, normalized_laplacian
 
 # Every eigenvalue of a graph's pencil (L, D) lies in [0, 2]; eigenvalues
 # below ZERO_TOL_FACTOR times that bound count as "trivial" zeros.
@@ -78,7 +78,7 @@ def _solve(g: ViewGraph, count: int | None, vectors: bool):
     # always solved with them.
     values_only = not vectors and count is not None and count < g.n
     try:
-        result = scipy.linalg.eigh(degree_scaled(_laplacian(g.weights, d), d),
+        result = scipy.linalg.eigh(normalized_laplacian(g.weights, d),
                                    eigvals_only=values_only, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NoConvergence(str(exc)) from exc

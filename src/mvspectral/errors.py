@@ -7,9 +7,16 @@ failures, 4 for configuration mistakes.
 
 from __future__ import annotations
 
+import numpy as np
+
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer."""
+    return isinstance(value, (int, np.integer))
 
 
 class MVSpectralError(Exception):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import consensus_labelling, dice
-from .errors import InsufficientViews, InvalidSpec
+from .errors import InsufficientViews, InvalidSpec, _is_int
 from .io import RunReport
 from .jdl import jdl_embed, joint_diagonalize
 from .multiview import MultiViewSet, aasc_weights, embed, mvsc_weights, mvscw_weights
@@ -79,10 +79,6 @@ def check_method(method: str) -> None:
     """
     if method not in METHODS:
         raise InvalidSpec(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
 
 
 def _check_grid(group_sizes, trials: int) -> None:

@@ -5,10 +5,10 @@ a dense symmetric nonnegative matrix with a zero diagonal.  Graphs are built
 either from raw affinity matrices or from region time series via Fisher
 z-transformed Pearson correlations with negative weights zeroed.
 
-``laplacian`` gives L = D - W, with D the diagonal of degrees.  The one
-degree normalization is ``degree_scaled``, D^(-1/2) M D^(-1/2): applied to
-L it reduces the pencil (L, D), applied to W it gives the symmetric-normalized
-form I - D^(-1/2) W D^(-1/2), which is the same matrix in exact arithmetic.
+``laplacian`` gives L = D - W, with D the diagonal of degrees.
+``normalized_laplacian``, D^(-1/2) L D^(-1/2), reduces the pencil (L, D) of
+the eigensolves and is the form I - D^(-1/2) W D^(-1/2) that jdl jointly
+diagonalizes: the same matrix in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -170,41 +170,39 @@ def degree(g: ViewGraph) -> np.ndarray:
     return g.weights.sum(axis=1)
 
 
-def degree_scaled(matrix: np.ndarray, degrees) -> np.ndarray:
-    """D^(-1/2) M D^(-1/2) with D = diag(degrees), symmetrized against round-off.
+def normalized_laplacian(weights, degrees) -> np.ndarray:
+    """D^(-1/2) (D - W) D^(-1/2) with D = diag(degrees), symmetrized against round-off.
 
-    With ``M = laplacian(g)`` it reduces the pencil (L, D) to one symmetric
-    matrix; with ``M = g.weights`` it gives the symmetric-normalized form
-    I - D^(-1/2) W D^(-1/2) as the identity minus the result.
+    ``weights`` is one (n, n) matrix with (n,) degrees, or an (m, n, n)
+    stack with (m, n) degrees, one row per view; each view of a stack gets
+    the same bits as its own call.
 
     Raises:
-        IsolatedVertex: some degree is not strictly positive.
+        IsolatedVertex: some degree is not strictly positive; for a stack
+            the message names the view.
     """
     d = np.asarray(degrees, dtype=np.float64)
-    bad = np.flatnonzero(d <= 0.0)
+    bad = np.argwhere(d <= 0.0)
     if bad.size:
-        raise IsolatedVertex(int(bad[0]))
+        raise IsolatedVertex(int(bad[0, -1]),
+                             detail=f" in view {bad[0, 0]}" if d.ndim == 2 else "")
+    # 0.0 - w keeps +0.0 for a zero weight, as diag(d) - W does, and adding
+    # the degrees to the diagonal rounds as d - w does.
+    mat = np.subtract(0.0, weights, dtype=np.float64)
+    diag = np.arange(d.shape[-1])
+    mat[..., diag, diag] += d
     inv_sqrt = 1.0 / np.sqrt(d)
-    scaled = matrix * inv_sqrt[:, None]
-    scaled *= inv_sqrt[None, :]
-    sym = scaled + scaled.T
+    mat *= inv_sqrt[..., :, None]
+    mat *= inv_sqrt[..., None, :]
+    sym = mat + np.swapaxes(mat, -1, -2)
     sym *= 0.5
     return sym
 
 
 def laplacian(g: ViewGraph) -> np.ndarray:
     """The combinatorial (unnormalized) laplacian D - W, read-only."""
-    mat = _laplacian(g.weights, degree(g))
+    mat = np.diag(degree(g)) - g.weights
     mat.setflags(write=False)
-    return mat
-
-
-def _laplacian(weights: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """diag(degrees) - weights, for degrees already summed from weights."""
-    # 0.0 - w keeps +0.0 for a zero weight, as diag(d) - W does, and adding
-    # the degrees to the diagonal rounds as d - w does.
-    mat = np.subtract(0.0, weights)
-    mat[np.diag_indices(len(degrees))] += degrees
     return mat
 
 
@@ -213,6 +211,7 @@ def cut_cost(g: ViewGraph, p: Partition, cluster: int) -> float:
 
     Raises:
         InvalidCluster: cluster id outside 1..k.
+        DimensionError: the partition and the graph differ in size.
     """
     if not 1 <= cluster <= p.k:
         raise InvalidCluster(f"cluster {cluster} outside 1..{p.k}")
@@ -223,9 +222,16 @@ def cut_cost(g: ViewGraph, p: Partition, cluster: int) -> float:
 
 
 def volume(g: ViewGraph, p: Partition, cluster: int) -> float:
-    """Sum of vertex degrees inside one cluster."""
+    """Sum of vertex degrees inside one cluster.
+
+    Raises:
+        InvalidCluster: cluster id outside 1..k.
+        DimensionError: the partition and the graph differ in size.
+    """
     if not 1 <= cluster <= p.k:
         raise InvalidCluster(f"cluster {cluster} outside 1..{p.k}")
+    if p.n != g.n:
+        raise DimensionError(f"partition over {p.n} vertices, graph has {g.n}")
     d = degree(g)
     return float(d[p.assignment == cluster].sum())
 
@@ -234,6 +240,7 @@ def ncut_cost(g: ViewGraph, p: Partition) -> float:
     """Normalized cut: sum over clusters of cut weight over cluster volume.
 
     Raises:
+        DimensionError: the partition and the graph differ in size.
         ZeroVolumeCluster: some cluster has zero total degree.
     """
     if p.n != g.n:

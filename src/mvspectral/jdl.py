@@ -1,7 +1,8 @@
 """Joint diagonalization of normalized laplacians.
 
 One orthogonal basis is rotated to approximately diagonalize every view's
-symmetric-normalized laplacian I - D^(-1/2) W D^(-1/2) at once, by cyclic
+normalized laplacian D^(-1/2) (D - W) D^(-1/2) (``graphs.normalized_laplacian``,
+the matrix whose eigenproblem the MVSC methods solve) at once, by cyclic
 Jacobi sweeps over index pairs in the round-robin parallel ordering (Brent &
 Luk, 1985), where each step rotates a set of disjoint pairs at once.  Each
 rotation angle minimizes the pooled squared off-diagonal contribution of its
@@ -33,11 +34,11 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     InvalidWeights,
-    IsolatedVertex,
     NotOrthogonal,
     NotSymmetric,
+    _is_int,
 )
-from .graphs import degree, degree_scaled
+from .graphs import normalized_laplacian
 from .multiview import MultiViewSet
 
 # Pairs whose pooled squared off-diagonal mass is below this fraction of the
@@ -159,23 +160,6 @@ def _rotations(forms: np.ndarray, skip_threshold: float) -> np.ndarray:
     return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
 
 
-def _step_orders(n: int) -> list:
-    """Pair-interleaved index order of every round-robin step.
-
-    Positions 2i and 2i+1 of step t's order hold its i-th pair (p, q) of
-    ``_round_robin_schedule(n)``.  Odd n is padded with the index n, which
-    is paired with the one index the step leaves out.
-    """
-    size = n + n % 2
-    orders = []
-    for p, q in _round_robin_schedule(n):
-        order = np.stack([p, q], axis=1).ravel()
-        if size > n:
-            order = np.concatenate([order, np.setdiff1d(np.arange(n), order), [n]])
-        orders.append(order)
-    return orders or [np.arange(size)]
-
-
 def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
                                max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagonalizer:
     """Jointly diagonalize a family of symmetric matrices.
@@ -189,9 +173,9 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
 
     The (n, n, m) stack is held in each step's pair-interleaved order (see
     the module docstring).  After a step it holds the transpose of the
-    rotated stack, which equals it up to rounding.  Odd n is padded with a
-    zero index whose pairs are always the identity and which is dropped at
-    the end.
+    rotated stack, which equals it up to rounding.  Odd n adds an index n
+    with a zero row and column, whose pairs are always the identity, and
+    drops it at the end.
 
     Raises:
         InvalidSpec: ``max_sweeps`` is not an integer of at least 1, or
@@ -210,29 +194,27 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     asym = float(np.abs(stack - np.transpose(stack, (0, 2, 1))).max())
     if scale > 0 and asym > 1e-8 * scale:
         raise NotSymmetric("input matrices are not symmetric within 1e-8")
-    # Views innermost, (n, n, m): a row is then one contiguous run of n * m values.
-    original = np.ascontiguousarray((0.5 * (stack + np.transpose(stack, (0, 2, 1))))
-                                    .transpose(1, 2, 0))
-    m = original.shape[2]
     size = n + n % 2
     h = size // 2
-    orders = _step_orders(n)
+    m = stack.shape[0]
+    # Views innermost, (size, size, m): a row is then one contiguous run of
+    # size * m values.
+    original = np.zeros((size, size, m))
+    original[:n, :n] = (0.5 * (stack + np.transpose(stack, (0, 2, 1)))).transpose(1, 2, 0)
+    # orders[t] is step t's pair-interleaved index order: its i-th pair at 2i, 2i+1.
+    orders = [np.stack(pairs, axis=1).ravel() for pairs in _round_robin_schedule(size)]
     order = orders[0]
-    # Positions of the real indices in step-0 order; a padded index is not one.
-    real = np.flatnonzero(order < n)
     # gathers[t] moves rows from step t's order to step t+1's (step 0's after the last).
     gathers = [np.argsort(a)[b] for a, b in zip(orders, orders[1:] + orders[:1])]
 
-    stack = np.zeros((size, size, m))
-    stack[np.ix_(real, real)] = original[np.ix_(order[real], order[real])]
+    stack = np.ascontiguousarray(original[np.ix_(order, order)])
     spare = np.empty_like(stack)
-    # Basis vectors as rows, in step-0 order; a padded index has a zero row.
-    basis = np.zeros((size, n))
-    basis[real, order[real]] = 1.0
+    # Basis vectors as rows, in step-0 order.
+    basis = np.eye(size)[order]
     basis_spare = np.empty_like(basis)
     forms = np.empty((2, m, h))
     positions = np.arange(size)[:, None]
-    eye = np.eye(n)
+    eye = np.eye(size)
 
     off = _off_total(stack)
     history = []
@@ -254,17 +236,18 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
                     out=stack, mode="clip")
             np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
             np.take(spare, gather, axis=0, out=stack, mode="clip")
-            np.matmul(rot, basis.reshape(h, 2, n), out=basis_spare.reshape(h, 2, n))
+            np.matmul(rot, basis.reshape(h, 2, size), out=basis_spare.reshape(h, 2, size))
             np.take(basis_spare, gather, axis=0, out=basis, mode="clip")
         sweeps = sweep
         new_off = _off_total(stack)
         history.append(new_off)
-        vectors = basis[real]
-        if float(np.abs(vectors @ vectors.T - eye).max()) > ORTHO_DRIFT_TOL:
-            q, _ = np.linalg.qr(vectors.T)
-            basis[real] = q.T
-            stack[np.ix_(real, real)] = np.einsum("ji,jkm,kl->ilm", q, original, q,
-                                                  optimize=True)
+        if float(np.abs(basis @ basis.T - eye).max()) > ORTHO_DRIFT_TOL:
+            q, _ = np.linalg.qr(basis.T)
+            # For odd n, blocked QR (n above 128 or so) rounds a little into
+            # the pad's coordinate n, whose only vector is e_n: restore it.
+            q[n:] = basis.T[n:]
+            basis[:] = q.T
+            stack[:] = np.einsum("ji,jkm,kl->ilm", q, original, q, optimize=True)
             reortho += 1
             new_off = _off_total(stack)
             history[-1] = new_off
@@ -274,11 +257,10 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
             converged = True
             break
 
-    diag = np.empty(n)
-    diag[order[real]] = stack[real, real].mean(axis=1)
-    columns = np.empty((n, n))
-    columns[:, order[real]] = basis[real].T
-    columns = fix_column_signs(columns)
+    # Step-0 positions of the indices 0..n-1, which leave out the pad.
+    where = np.argsort(order)[:n]
+    diag = stack[where, where].mean(axis=1)
+    columns = fix_column_signs(np.ascontiguousarray(basis[where, :n].T))
     columns.setflags(write=False)
     return JointDiagonalizer(
         basis=columns,
@@ -292,21 +274,18 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
 
 def joint_diagonalize(set_: MultiViewSet, tol: float = DEFAULT_TOL,
                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> JointDiagonalizer:
-    """Jointly diagonalize the symmetric-normalized laplacians of all views.
+    """Jointly diagonalize the normalized laplacians of all views.
 
-    View ``g`` contributes ``I - degree_scaled(g.weights, degree(g))``.
+    The family is ``normalized_laplacian(set_.stack, set_.degrees)``, the
+    matrices whose eigenproblems the MVSC methods solve one aggregate at a
+    time.
 
     Raises:
-        IsolatedVertex: some view has a zero-degree vertex.
+        IsolatedVertex: some view has a zero-degree vertex (named with its view).
         InvalidSpec: as ``joint_diagonalize_matrices``.
     """
-    matrices = []
-    for i, g in enumerate(set_.views):
-        try:
-            matrices.append(np.eye(g.n) - degree_scaled(g.weights, degree(g)))
-        except IsolatedVertex as exc:
-            raise IsolatedVertex(exc.index, detail=f" in view {i}") from exc
-    return joint_diagonalize_matrices(matrices, tol=tol, max_sweeps=max_sweeps)
+    return joint_diagonalize_matrices(normalized_laplacian(set_.stack, set_.degrees),
+                                      tol=tol, max_sweeps=max_sweeps)
 
 
 def jdl_embed(jd: JointDiagonalizer, set_: MultiViewSet, k: int) -> Embedding:
@@ -319,11 +298,12 @@ def jdl_embed(jd: JointDiagonalizer, set_: MultiViewSet, k: int) -> Embedding:
     n = jd.basis.shape[0]
     if set_.n != n:
         raise DimensionMismatch(f"diagonalizer built for n={n}, set has n={set_.n}")
-    if not 2 <= k <= n:
-        raise DimensionError(f"need 2 <= k <= {n}, got {k}")
+    if not (_is_int(k) and 2 <= k <= n):
+        raise DimensionError(f"need an integer 2 <= k <= {n}, got {k!r}")
     order = np.argsort(jd.mean_diagonal, kind="stable")
     chosen = order[1:k]
-    coords = fix_column_signs(jd.basis[:, chosen])
+    # The basis columns already follow fix_column_signs' convention.
+    coords = jd.basis[:, chosen]
     coords.setflags(write=False)
     values = np.array(jd.mean_diagonal[chosen])
     values.setflags(write=False)

@@ -28,6 +28,7 @@ from .errors import (
     InvalidWeightVector,
     IsolatedVertex,
     LengthMismatch,
+    _is_int,
 )
 from .graphs import ViewGraph
 
@@ -61,14 +62,13 @@ class MultiViewSet:
         views = tuple(views)
         if not views:
             raise DimensionError("need at least one view")
-        n = views[0].n
         for i, v in enumerate(views):
             if not isinstance(v, ViewGraph):
                 raise InvalidView(f"view {i} is not a ViewGraph")
-            if v.n != n:
-                raise DimensionError(f"view {i} has {v.n} vertices, expected {n}")
+            if v.n != views[0].n:
+                raise DimensionError(f"view {i} has {v.n} vertices, expected {views[0].n}")
         self.views = views
-        self.n = n
+        self.n = views[0].n
         self.m = len(views)
         self._stack = None
         self._degrees = None
@@ -162,10 +162,19 @@ def aggregate(set_: MultiViewSet, w: WeightVector) -> ViewGraph:
     return ViewGraph(weights=weights)
 
 
+def _check_k(k) -> None:
+    if not (_is_int(k) and k >= 2):
+        raise DimensionError(f"need an integer k >= 2, got {k!r}")
+
+
 def mvsc_weights(m: int) -> WeightVector:
-    """Uniform weights 1/m."""
-    if m < 1:
-        raise DimensionError("need at least one view")
+    """Uniform weights 1/m.
+
+    Raises:
+        DimensionError: ``m`` is not an integer of at least 1.
+    """
+    if not (_is_int(m) and m >= 1):
+        raise DimensionError(f"need an integer number of views >= 1, got {m!r}")
     return WeightVector(np.full(m, 1.0 / m))
 
 
@@ -177,12 +186,12 @@ def mvscw_weights(set_: MultiViewSet, k: int) -> WeightVector:
     that partition well dominate the aggregate.
 
     Raises:
-        DimensionError: ``k`` is below 2 or exceeds the vertex count.
+        DimensionError: ``k`` is not an integer, is below 2 or exceeds the
+            vertex count.
         IsolatedVertex: some view has a zero-degree vertex.
         DegenerateViewSpectrum: some view's sum is below 1e-12 (disconnected).
     """
-    if k < 2:
-        raise DimensionError(f"need k >= 2, got {k}")
+    _check_k(k)
     sums = np.empty(set_.m)
     for i, g in enumerate(set_.views):
         try:
@@ -202,11 +211,12 @@ def embed(set_: MultiViewSet, w: WeightVector, k: int) -> Embedding:
 
     Raises:
         LengthMismatch: weight vector length differs from the view count.
+        DimensionError: ``k`` is not an integer, is below 2 or exceeds the
+            vertex count.
         DisconnectedGraph, IsolatedVertex: aggregate not usable.
     """
     g = aggregate(set_, w)
-    if k < 2:
-        raise DimensionError(f"need k >= 2, got {k}")
+    _check_k(k)
     return smallest_nontrivial(generalized_eig(g, k), k - 1)
 
 
@@ -272,8 +282,7 @@ def aasc_weights(set_: MultiViewSet, k: int):
     """
     if set_.m < 2:
         raise DimensionError("alternating weight optimization needs at least 2 views")
-    if k < 2:
-        raise DimensionError(f"need k >= 2, got {k}")
+    _check_k(k)
     m = set_.m
     alpha = np.full(m, 1.0 / m)
     lo = WEIGHT_FLOOR

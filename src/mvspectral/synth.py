@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, InvalidWeights
+from .errors import InvalidSpec, InvalidWeights, _is_int
 from .graphs import Partition, ViewGraph
 from .multiview import MultiViewSet
 
@@ -38,8 +38,11 @@ class SyntheticSpec:
         return tuple(base + (1 if i < extra else 0) for i in range(self.k_true))
 
     def validate(self) -> None:
-        if self.n < 2 or self.k_true < 1 or self.m < 1:
-            raise InvalidSpec(f"bad sizes n={self.n} k={self.k_true} m={self.m}")
+        sizes = (self.n, self.k_true, self.m)
+        if not all(map(_is_int, sizes)) or self.n < 2 or self.k_true < 1 or self.m < 1:
+            raise InvalidSpec(f"bad sizes n={self.n!r} k={self.k_true!r} m={self.m!r}")
+        if not (_is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise InvalidSpec(f"need an integer rng_seed >= 0, got {self.rng_seed!r}")
         moments = (self.intra_mean, self.intra_sd, self.inter_mean, self.inter_sd)
         if not np.isfinite(moments).all():
             raise InvalidSpec(f"means and standard deviations must be finite, got {moments}")

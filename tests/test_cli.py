@@ -234,6 +234,14 @@ class TestExitCodes:
         assert code == 4
         assert err.splitlines() == ["error: k_max=12 is outside 1..11 for n=12 vertices"]
 
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = run_cli(["synth", "--n", 8, "--k-true", 2, "--m", 2, "--seed", -1,
+                        "--outdir", tmp_path / "family"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == ["error: need an integer rng_seed >= 0, got -1"]
+        assert not (tmp_path / "family").exists()
+
     def test_method_choices_are_the_method_table(self):
         for name, sub in subcommands().items():
             if "method" in option_dests(sub):

@@ -6,6 +6,7 @@ import pytest
 
 import mvspectral
 from mvspectral import (
+    DimensionError,
     DimensionMismatch,
     ExperimentConfig,
     InvalidSpec,
@@ -16,20 +17,30 @@ from mvspectral import (
     MultiViewSet,
     MVSpectralError,
     NotOrthogonal,
+    Partition,
     SyntheticSpec,
+    TooFewPoints,
     ViewGraph,
     WeightVector,
+    aasc_weights,
     compute_embedding,
+    consensus_labelling,
     consistency_experiment,
+    embed,
     generalized_eig,
     generalized_eigvals,
     graph_from_timeseries,
+    jdl_embed,
     joint_diagonalize,
     joint_diagonalize_matrices,
+    kmeans,
+    mvsc_weights,
+    mvscw_weights,
     off_cost,
     run_pipeline,
     synth_views,
     timing_experiment,
+    volume,
 )
 from mvspectral import experiments
 from mvspectral.cli import main
@@ -49,6 +60,14 @@ def consistency_on_triangles(k=2, group_sizes=(1,), trials=1, num_seeds=2, rng_s
 
 def pipeline_on_triangles(**settings):
     return run_pipeline(MultiViewSet([triangle()] * 2), ExperimentConfig(k=2, **settings))
+
+
+def triangles(m=2):
+    return MultiViewSet([triangle()] * m)
+
+
+def points():
+    return np.arange(12.0).reshape(6, 2)
 
 
 def series_with_nan():
@@ -111,6 +130,29 @@ def series_with_nan():
     (lambda: pipeline_on_triangles(rng_seed=-1), InvalidSpec, Exception, 4),
     (lambda: consistency_on_triangles(rng_seed=1.5), InvalidSpec, Exception, 4),
     (lambda: consistency_on_triangles(rng_seed=-1), InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=2, m=2.5)), InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=2.0, m=2)), InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8.0, k_true=2, m=2)), InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=2, m=2, rng_seed=1.5)),
+     InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=2, m=2, rng_seed=-1)),
+     InvalidSpec, Exception, 4),
+    (lambda: MultiViewSet([np.eye(3)]), InvalidView, TypeError, 2),
+    (lambda: volume(triangle(), Partition(assignment=np.array([1, 2, 1, 2]), k=2), 1),
+     DimensionError, Exception, 2),
+    (lambda: mvsc_weights(2.5), DimensionError, Exception, 2),
+    (lambda: mvscw_weights(triangles(), 2.5), DimensionError, Exception, 2),
+    (lambda: embed(triangles(), mvsc_weights(2), 2.5), DimensionError, Exception, 2),
+    (lambda: aasc_weights(triangles(), 2.5), DimensionError, Exception, 2),
+    (lambda: jdl_embed(joint_diagonalize(triangles()), triangles(), 2.5),
+     DimensionError, Exception, 2),
+    (lambda: consensus_labelling(points(), 2.5, num_seeds=2), TooFewPoints, Exception, 4),
+    (lambda: consensus_labelling(points(), 2, num_seeds=2.5), TooFewPoints, Exception, 4),
+    (lambda: consensus_labelling(points(), 2, num_seeds=2, base_seed=-5),
+     InvalidSpec, Exception, 4),
+    (lambda: consensus_labelling(points(), 2, num_seeds=2, base_seed=0.5),
+     InvalidSpec, Exception, 4),
+    (lambda: kmeans(points(), 2, seed=-1), InvalidSpec, Exception, 4),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "eigvals-graph-type",
         "weights-negative", "weights-sum",
         "weights-nan",
@@ -123,13 +165,30 @@ def series_with_nan():
         "consistency-fractional-seeds", "consistency-fractional-k", "timing-fractional-trials",
         "timing-float-size", "embedding-fractional-k", "pipeline-fractional-seeds",
         "pipeline-fractional-rng-seed", "pipeline-negative-rng-seed",
-        "consistency-fractional-rng-seed", "consistency-negative-rng-seed"])
+        "consistency-fractional-rng-seed", "consistency-negative-rng-seed",
+        "synth-fractional-m", "synth-float-k", "synth-float-n", "synth-fractional-rng-seed",
+        "synth-negative-rng-seed", "set-first-view-type", "volume-partition-size",
+        "mvsc-fractional-m", "mvscw-fractional-k", "embed-fractional-k", "aasc-fractional-k",
+        "jdl-embed-fractional-k", "consensus-fractional-k", "consensus-fractional-seeds",
+        "consensus-negative-base-seed", "consensus-fractional-base-seed",
+        "kmeans-negative-seed"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, MVSpectralError)
     assert isinstance(info.value, builtin)
     assert info.value.exit_code == exit_code
+
+
+@pytest.mark.parametrize("call", [
+    lambda: embed(triangles(), mvsc_weights(2), 2.5),
+    lambda: aasc_weights(triangles(), 2.5),
+    lambda: mvscw_weights(triangles(), 2.5),
+], ids=["embed", "aasc", "mvscw"])
+def test_fractional_k_is_named_as_such(call):
+    # Not "count must be in 1..1, got 1.5" from the eigensolve.
+    with pytest.raises(DimensionError, match=r"^need an integer k >= 2, got 2\.5$"):
+        call()
 
 
 @pytest.mark.parametrize("run, settings", [

@@ -20,7 +20,7 @@ from mvspectral import (
     ncut_cost,
     volume,
 )
-from mvspectral.graphs import FISHER_CLAMP, degree_scaled
+from mvspectral.graphs import FISHER_CLAMP, normalized_laplacian
 
 
 def random_graph(rng, n, density=1.0):
@@ -170,10 +170,6 @@ class TestDegree:
         np.testing.assert_allclose(degree(g), expected, rtol=1e-12)
 
 
-def normalized_laplacian(g):
-    return np.eye(g.n) - degree_scaled(g.weights, degree(g))
-
-
 class TestLaplacian:
     def test_single_edge_combinatorial(self):
         g = ViewGraph.from_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -184,7 +180,7 @@ class TestLaplacian:
     def test_single_edge_normalized_equals_combinatorial(self):
         g = ViewGraph.from_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(
-            normalized_laplacian(g),
+            normalized_laplacian(g.weights, degree(g)),
             [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15,
         )
 
@@ -193,7 +189,7 @@ class TestLaplacian:
         g = ViewGraph.from_weights(w)
         expected = np.eye(3) - 0.5 * (np.ones((3, 3)) - np.eye(3))
         np.testing.assert_allclose(
-            normalized_laplacian(g), expected, atol=1e-15
+            normalized_laplacian(g.weights, degree(g)), expected, atol=1e-15
         )
 
     def test_combinatorial_row_sums_zero(self):
@@ -210,7 +206,7 @@ class TestLaplacian:
         w[0, 1] = w[1, 0] = 1.0
         g = ViewGraph.from_weights(w)
         with pytest.raises(IsolatedVertex) as info:
-            normalized_laplacian(g)
+            normalized_laplacian(g.weights, degree(g))
         assert info.value.index == 2
 
     def test_bytes_equal_plain_expressions(self):
@@ -226,10 +222,25 @@ class TestLaplacian:
             if np.any(d <= 0.0):
                 continue
             inv_sqrt = 1.0 / np.sqrt(d)
-            for matrix in (plain, g.weights):
-                scaled = matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
-                expected = 0.5 * (scaled + scaled.T)
-                assert degree_scaled(matrix, d).tobytes() == expected.tobytes()
+            scaled = plain * inv_sqrt[:, None] * inv_sqrt[None, :]
+            expected = 0.5 * (scaled + scaled.T)
+            assert normalized_laplacian(g.weights, d).tobytes() == expected.tobytes()
+
+    def test_stack_equals_per_view_calls(self):
+        rng = np.random.default_rng(26)
+        views = [random_graph(rng, 9, density=1.0) for _ in range(4)]
+        stack = np.stack([g.weights for g in views])
+        degrees = stack.sum(axis=2)
+        together = normalized_laplacian(stack, degrees)
+        assert together.shape == (4, 9, 9)
+        for i, g in enumerate(views):
+            alone = normalized_laplacian(g.weights, degree(g))
+            assert together[i].tobytes() == alone.tobytes()
+        stack[2, 5, :] = stack[2, :, 5] = 0.0
+        stack[3, 1, :] = stack[3, :, 1] = 0.0
+        with pytest.raises(IsolatedVertex, match=r"^vertex 5 has zero degree in view 2$") as info:
+            normalized_laplacian(stack, stack.sum(axis=2))
+        assert info.value.index == 5
 
     def test_zero_weights_stay_positive_zero(self):
         g = two_triangles()
@@ -237,7 +248,7 @@ class TestLaplacian:
         zeros = g.weights == 0.0
         np.fill_diagonal(zeros, False)
         assert not np.any(np.signbit(lap[zeros]))
-        assert not np.any(np.signbit(degree_scaled(lap, degree(g))[zeros]))
+        assert not np.any(np.signbit(normalized_laplacian(g.weights, degree(g))[zeros]))
 
     def test_psd_over_many_random_graphs(self):
         rng = np.random.default_rng(5)

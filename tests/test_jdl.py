@@ -20,7 +20,7 @@ from mvspectral import (
 )
 import mvspectral.jdl as jdl
 from mvspectral.eigen import fix_column_signs
-from mvspectral.graphs import degree, degree_scaled
+from mvspectral.graphs import degree, normalized_laplacian
 from mvspectral.jdl import _round_robin_schedule, _rotations
 
 
@@ -33,6 +33,12 @@ def random_view(rng, n, lift=0.05):
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
     return graph_of(w)
+
+
+def sym_normalized(g):
+    """I - D^(-1/2) W D^(-1/2), written out."""
+    inv_sqrt = 1.0 / np.sqrt(g.weights.sum(axis=1))
+    return np.eye(g.n) - inv_sqrt[:, None] * g.weights * inv_sqrt[None, :]
 
 
 def random_symmetric_family(rng, m, n):
@@ -168,8 +174,20 @@ class TestJointDiagonalizeGraphs:
         views = [random_view(rng, 6) for _ in range(3)]
         set_ = MultiViewSet(views)
         jd = joint_diagonalize(set_, max_sweeps=40)
-        mats = [np.eye(v.n) - degree_scaled(v.weights, degree(v)) for v in views]
+        mats = [sym_normalized(v) for v in views]
         assert off_cost(mats, jd.basis) == pytest.approx(jd.off_history[-1], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_equals_matrix_path_on_per_view_laplacians(self, n):
+        rng = np.random.default_rng(19 + n)
+        views = [random_view(rng, n) for _ in range(3)]
+        jd = joint_diagonalize(MultiViewSet(views), max_sweeps=8)
+        ref = joint_diagonalize_matrices(
+            [normalized_laplacian(v.weights, degree(v)) for v in views], max_sweeps=8)
+        assert jd.basis.tobytes() == ref.basis.tobytes()
+        assert jd.mean_diagonal.tobytes() == ref.mean_diagonal.tobytes()
+        assert jd.off_history.tobytes() == ref.off_history.tobytes()
+        assert (jd.sweeps_run, jd.converged) == (ref.sweeps_run, ref.converged)
 
     def test_isolated_vertex_named_with_view(self):
         w = np.zeros((3, 3))
@@ -187,8 +205,7 @@ class TestJdlEmbed:
         jd = joint_diagonalize(set_, tol=1e-14)
         k = 4
         emb = jdl_embed(jd, set_, k)
-        s = np.eye(g.n) - degree_scaled(g.weights, degree(g))
-        values, vectors = scipy.linalg.eigh(s)
+        values, vectors = scipy.linalg.eigh(sym_normalized(g))
         gaps = np.diff(values)
         assert gaps.min() >= 1e-6  # generic random weights keep the spectrum simple
         overlap = np.linalg.svd(emb.coords.T @ vectors[:, 1:k], compute_uv=False)
@@ -378,7 +395,7 @@ def reference_sweeps(matrices, sweeps):
 
 class TestPairInterleavedKernel:
     @pytest.mark.parametrize("m", [1, 3, 16])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 48])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 45, 48])
     def test_matches_pairwise_reference(self, n, m):
         rng = np.random.default_rng(100 * n + m)
         mats = random_symmetric_family(rng, m, n)
