@@ -12,9 +12,13 @@ generator and in its own draw order, all seeds share each vectorized Lloyd
 iteration, and each seed stops on its own, at an assignment fixpoint or when
 an update leaves its centroids unchanged or returns those of two iterations
 back.  Every seed's labels and objective equal those of an independent
-single-seed run.  ``kmeans`` is that kernel with one seed.  A consensus
-aligns all its runs in one pass: every table whose optimal matching is plain
-from its row maxima is matched at once, and only the rest go through
+single-seed run.  ``kmeans`` is that kernel with one seed.  Each point's
+nearest centroid is a running minimum over the k centroids, taken one at a
+time with ties kept by the lower id, so no (S, n, k) distance table is
+built; k-means++ keeps that minimum while it draws, and hands Lloyd the
+first assignment and objective.  A consensus aligns all its runs in one
+pass: every table whose optimal matching is plain from its row maxima is
+matched at once, and only the rest go through
 ``best_label_permutation``, which fixes rows in order by k - 1 exact
 assignment solves and so picks the lexicographically smallest optimum.
 
@@ -104,21 +108,31 @@ def _check_seed(seed) -> None:
 def _nearest(points: np.ndarray, centroids: np.ndarray):
     """Nearest-centroid ids and squared distances for stacked (S, k, d) centroids.
 
-    One centroid at a time, so temporaries stay at (S, n, d); the result
-    equals the all-pairs expression sum((p - c) ** 2) term for term.
+    A running minimum over the centroids, one at a time, so temporaries stay
+    at (S, n, d).  Each distance is the all-pairs expression
+    sum((p - c) ** 2) term for term, and only a strictly smaller one moves a
+    point, so ties keep the lower id as ``np.argmin`` does.
+
+    Returns:
+        (ids of shape (S, n), their squared distances of shape (S, n))
     """
-    d2 = np.empty((centroids.shape[0], points.shape[0], centroids.shape[1]))
-    for j in range(centroids.shape[1]):
-        d2[:, :, j] = ((points - centroids[:, j, None, :]) ** 2).sum(axis=-1)
-    assign = np.argmin(d2, axis=2)
-    return assign, d2
+    best = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
+    assign = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, centroids.shape[1]):
+        _closer(points, centroids[:, j], j, best, assign)
+    return assign, best
 
 
-def _objective(d2: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(d2, assign[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+def _closer(points: np.ndarray, centroid: np.ndarray, j: int, best: np.ndarray,
+            assign: np.ndarray) -> None:
+    """Move to id ``j`` every point strictly closer to ``centroid`` (S, d) than ``best``."""
+    dist = ((points - centroid[:, None, :]) ** 2).sum(axis=-1)
+    closer = dist < best
+    np.copyto(best, dist, where=closer)
+    np.copyto(assign, j, where=closer)
 
 
-def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
+def _kmeanspp(points: np.ndarray, k: int, seeds):
     """k-means++ centroids of shape (S, k, d), all seeds drawn together.
 
     Each seed draws from its own ``default_rng(seed)`` in the order of the
@@ -128,6 +142,13 @@ def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
     ``Generator.choice`` computes it: one ``random()`` double ``u`` and the
     index ``searchsorted(cdf, u, side="right")`` into the normalized
     cumulative sum, which for a nondecreasing ``cdf`` is ``(cdf <= u).sum()``.
+
+    Each point's squared distance to its nearest drawn centroid is kept as a
+    running minimum, as ``_nearest`` keeps it, so once all k are drawn it
+    holds the first assignment and objective.
+
+    Returns:
+        (centroids, nearest-centroid ids of shape (S, n), objectives of shape (S,))
     """
     n = points.shape[0]
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -137,6 +158,7 @@ def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
     with np.errstate(over="ignore"):
         closest = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
         total = closest.sum(axis=1)
+    nearest = np.zeros(closest.shape, dtype=np.intp)
     # Checked once, for every k: closest only shrinks, so later totals stay finite.
     if not np.isfinite(total).all():
         raise NonFiniteDistances("squared distances between points are not finite")
@@ -151,10 +173,9 @@ def _kmeanspp(points: np.ndarray, k: int, seeds) -> np.ndarray:
             cdf /= cdf[:, -1:]
             picks[live] = (cdf <= draws[live, None]).sum(axis=1)
         centroids[:, j] = points[picks]
-        np.minimum(closest, ((points - centroids[:, j, None, :]) ** 2).sum(axis=-1),
-                   out=closest)
+        _closer(points, centroids[:, j], j, closest, nearest)
         total = closest.sum(axis=1)
-    return centroids
+    return centroids, nearest, total
 
 
 def _update_with_repair(points: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> None:
@@ -215,11 +236,9 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
         (0-based assignments of shape (S, n), objectives of shape (S,))
     """
     d = points.shape[1]
-    centroids = _kmeanspp(points, k, seeds)
+    centroids, assign, objective = _kmeanspp(points, k, seeds)
     # Centroids of two iterations back; NaN matches nothing.
     older = np.full_like(centroids, np.nan)
-    assign, d2 = _nearest(points, centroids)
-    objective = _objective(d2, assign)
     if track is not None:
         track.append(float(objective[0]))
     active = np.arange(len(seeds))
@@ -238,8 +257,8 @@ def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None 
         cycled = (moved == older[active]).all(axis=(1, 2))
         older[active] = centroids[active]
         centroids[active] = moved
-        new_assign, d2 = _nearest(points, moved)
-        new_objective = _objective(d2, new_assign)
+        new_assign, best = _nearest(points, moved)
+        new_objective = best.sum(axis=1)
         if track is not None:
             track.append(float(new_objective[0]))
         done = (new_assign == current).all(axis=1) | repeated

@@ -26,6 +26,7 @@ from .errors import (
     IsolatedVertex,
     ZeroVarianceColumn,
     ZeroVolumeCluster,
+    _is_int,
 )
 
 # Correlations are clamped to +-(1 - FISHER_CLAMP) before atanh so that
@@ -210,11 +211,11 @@ def cut_cost(g: ViewGraph, p: Partition, cluster: int) -> float:
     """Total weight of edges leaving one cluster.
 
     Raises:
-        InvalidCluster: cluster id outside 1..k.
+        InvalidCluster: cluster id not an integer in 1..k.
         DimensionError: the partition and the graph differ in size.
     """
-    if not 1 <= cluster <= p.k:
-        raise InvalidCluster(f"cluster {cluster} outside 1..{p.k}")
+    if not (_is_int(cluster) and 1 <= cluster <= p.k):
+        raise InvalidCluster(f"cluster {cluster!r} is not an integer in 1..{p.k}")
     if p.n != g.n:
         raise DimensionError(f"partition over {p.n} vertices, graph has {g.n}")
     inside = (p.assignment == cluster).astype(np.float64)
@@ -225,11 +226,11 @@ def volume(g: ViewGraph, p: Partition, cluster: int) -> float:
     """Sum of vertex degrees inside one cluster.
 
     Raises:
-        InvalidCluster: cluster id outside 1..k.
+        InvalidCluster: cluster id not an integer in 1..k.
         DimensionError: the partition and the graph differ in size.
     """
-    if not 1 <= cluster <= p.k:
-        raise InvalidCluster(f"cluster {cluster} outside 1..{p.k}")
+    if not (_is_int(cluster) and 1 <= cluster <= p.k):
+        raise InvalidCluster(f"cluster {cluster!r} is not an integer in 1..{p.k}")
     if p.n != g.n:
         raise DimensionError(f"partition over {p.n} vertices, graph has {g.n}")
     d = degree(g)

@@ -142,13 +142,15 @@ def _round_robin_schedule(n: int) -> list:
     return steps
 
 
-def _rotations(forms: np.ndarray, skip_threshold: float) -> np.ndarray:
+def _rotations(forms: np.ndarray, skip_threshold: float,
+               out: np.ndarray | None = None) -> np.ndarray:
     """One step's pooled Jacobi rotations as an (h, 2, 2) batch [[c, s], [-s, c]].
 
     ``forms`` is (2, m, h), h1 = A_pp - A_qq and h2 = 2 A_pq per view and pair.
     The angle is the symmetric-Schur angle atan2(2 g12, g11 - g22) / 4 of
     their pooled Gram form g.  A pair whose pooled off-diagonal mass g22 / 2
-    is below ``skip_threshold``, or whose sine is below 1e-16, is idle.
+    is below ``skip_threshold``, or whose sine is below 1e-16, is idle.  The
+    batch is written into ``out`` when given, else into a new array.
     """
     g = np.einsum("ami,bmi->abi", forms, forms)
     theta = 0.25 * np.arctan2(2.0 * g[0, 1], g[0, 0] - g[1, 1])
@@ -157,7 +159,12 @@ def _rotations(forms: np.ndarray, skip_threshold: float) -> np.ndarray:
     theta[idle] = 0.0
     s[idle] = 0.0
     c = np.cos(theta)
-    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+    rot = np.empty((theta.size, 2, 2)) if out is None else out
+    rot[:, 0, 0] = c
+    rot[:, 0, 1] = s
+    np.negative(s, out=rot[:, 1, 0])
+    rot[:, 1, 1] = c
+    return rot
 
 
 def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
@@ -213,8 +220,17 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     basis = np.eye(size)[order]
     basis_spare = np.empty_like(basis)
     forms = np.empty((2, m, h))
+    rot = np.empty((h, 2, 2))
     positions = np.arange(size)[:, None]
     eye = np.eye(size)
+    # Views that every step reuses; stack, spare and basis change only in place.
+    # (2, 2, m, h): the step's 2x2 diagonal blocks, pairs last.
+    blocks = stack.reshape(h, 2, h, 2, m).diagonal(axis1=0, axis2=2)
+    rows = stack.reshape(h, 2, size * m)
+    spare_rows = spare.reshape(h, 2, size * m)
+    spare_cells = spare.reshape(size * size, m)
+    basis_rows = basis.reshape(h, 2, size)
+    basis_spare_rows = basis_spare.reshape(h, 2, size)
 
     off = _off_total(stack)
     history = []
@@ -225,18 +241,15 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     for sweep in range(1, max_sweeps + 1):
         skip_threshold = SKIP_FACTOR * off
         for gather in gathers:
-            # (2, 2, m, h): the step's 2x2 diagonal blocks, pairs last.
-            blocks = stack.reshape(h, 2, h, 2, m).diagonal(axis1=0, axis2=2)
             np.subtract(blocks[0, 0], blocks[1, 1], out=forms[0])
             np.multiply(blocks[0, 1], 2.0, out=forms[1])
-            rot = _rotations(forms, skip_threshold)
-            np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
+            _rotations(forms, skip_threshold, out=rot)
+            np.matmul(rot, rows, out=spare_rows)
             # stack[i, a] = spare[gather[a], i]: the row gather and the transpose in one pass.
-            np.take(spare.reshape(size * size, m), gather * size + positions, axis=0,
-                    out=stack, mode="clip")
-            np.matmul(rot, stack.reshape(h, 2, size * m), out=spare.reshape(h, 2, size * m))
+            np.take(spare_cells, gather * size + positions, axis=0, out=stack, mode="clip")
+            np.matmul(rot, rows, out=spare_rows)
             np.take(spare, gather, axis=0, out=stack, mode="clip")
-            np.matmul(rot, basis.reshape(h, 2, size), out=basis_spare.reshape(h, 2, size))
+            np.matmul(rot, basis_rows, out=basis_spare_rows)
             np.take(basis_spare, gather, axis=0, out=basis, mode="clip")
         sweeps = sweep
         new_off = _off_total(stack)

@@ -272,10 +272,15 @@ def aasc_weights(set_: MultiViewSet, k: int):
     the current aggregate and (b) sweeps the weight coordinates, each varied
     by golden-section search against uniform redistribution of the remainder,
     accepting only strict improvements of the aggregate trace objective.
-    Stops when a round changes the objective by at most ``ROUND_RTOL``
-    (relative) or after ``MAX_ROUNDS`` rounds; the recorded objective
-    sequence is nonincreasing.  Each round's embedding is ``embed`` of the
-    current weights, so the returned one equals ``embed(set_, weights, k)``.
+    A round that accepts no candidate ends the search: the next round would
+    start from the same weights and repeat it bit for bit, so its embedding
+    is returned as the final one.  Otherwise the search stops when a round
+    changes the objective by at most ``ROUND_RTOL`` (relative) or after
+    ``MAX_ROUNDS`` rounds, and embeds the final weights once more.  The
+    trace holds each round's start value, each accepted candidate's value
+    and the final embedding's eigenvalue sum, and is nonincreasing up to
+    rounding.  Each embedding is ``embed`` of the current weights, so the
+    returned one equals ``embed(set_, weights, k)``.
 
     Returns:
         (weights, embedding, objective trace as a list of floats)
@@ -289,11 +294,13 @@ def aasc_weights(set_: MultiViewSet, k: int):
     hi = 1.0 - (m - 1) * WEIGHT_FLOOR
     trace: list[float] = []
     prev_outer = None
+    final = None
     for _ in range(MAX_ROUNDS):
         emb = embed(set_, WeightVector(alpha), k)
         w_forms, d_forms = _projected_forms(set_, emb.coords)
         current = _trace_objective(alpha, w_forms, d_forms)
         trace.append(current)
+        accepted = False
 
         for j in range(m):
             def candidate(t: float, j=j) -> np.ndarray:
@@ -309,13 +316,19 @@ def aasc_weights(set_: MultiViewSet, k: int):
                 alpha = candidate(t_best)
                 current = f_best
                 trace.append(current)
+                accepted = True
 
+        if not accepted:
+            # The next round would start from these weights and repeat this one bit for bit.
+            final = emb
+            break
         if (prev_outer is not None
                 and abs(prev_outer - current) <= ROUND_RTOL * max(current, 1e-300)):
             break
         prev_outer = current
 
     weights = WeightVector(alpha)
-    final = embed(set_, weights, k)
+    if final is None:
+        final = embed(set_, weights, k)
     trace.append(float(final.eigenvalues.sum()))
     return weights, final, trace

@@ -52,6 +52,8 @@ class SyntheticSpec:
             )
         if self.intra_sd < 0.0 or self.inter_sd < 0.0:
             raise InvalidSpec("standard deviations must be nonnegative")
+        if not all(map(_is_int, self.block_sizes)):
+            raise InvalidSpec(f"block sizes must be integers, got {self.block_sizes!r}")
         blocks = self.resolved_blocks()
         if len(blocks) != self.k_true or sum(blocks) != self.n or min(blocks) < 1:
             raise InvalidSpec(f"block sizes {blocks} do not partition {self.n} vertices")

@@ -322,8 +322,10 @@ def test_criterion_8_timing_ordering():
     ratio = float(np.min(pools[128]) / np.min(pools[64]))
     if not 1.0 <= ratio <= 3.0:
         failures.append(f"doubling 64->128 scaled time by {ratio:.2f}, outside [1, 3]")
+    margins = {f"{a}/{b}": {m: round(means[a][m] / means[b][m], 2) for m in (16, 64)}
+               for a, b in (("mvscw", "mvsc"), ("aasc", "mvscw"), ("jdl", "aasc"), ("jdl", "mvsc"))}
     print(f"[acceptance] timing detail: means={ {k: {m: round(v, 4) for m, v in d.items()} for k, d in means.items()} } "
-          f"doubling ratio={ratio:.2f}")
+          f"margins={margins} doubling ratio={ratio:.2f}")
     _report(8, "timing ordering", failures)
 
 

@@ -280,6 +280,23 @@ class TestLockstepKernel:
             assert track == capped_track[:len(track)]
             assert track[len(track) - 1 - (max_iter + 1 - len(track)) % 2] == capped_track[-1]
 
+    def test_nearest_equals_argmin_and_min_of_all_pairs(self):
+        rng = np.random.default_rng(22)
+        pts = rng.normal(size=(40, 3))
+        # Squared distances from these points to ordinary centroids overflow to inf.
+        pts[:4] *= 1e200
+        centroids = rng.normal(size=(5, 6, 3))
+        centroids[:, 4] = centroids[:, 1]  # exact ties between ids 1 and 4
+        centroids[2, 3] = centroids[2, 0]  # and between 0 and 3 in one seed
+        centroids[3, 5] = pts[0]           # the one finite distance of point 0
+        with np.errstate(over="ignore"):
+            pairs = ((pts[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=-1)
+            ids, dist = clustering._nearest(pts, centroids)
+        assert np.isinf(pairs).any() and (pairs == pairs.min(axis=2, keepdims=True)).sum() > 5 * 40
+        np.testing.assert_array_equal(ids, np.argmin(pairs, axis=2))
+        np.testing.assert_array_equal(dist, np.min(pairs, axis=2))
+        assert ids[3, 0] == 5 and (ids[:, 1:4] == 0).all()
+
     def test_points_near_1e200_raise_the_typed_error_without_warnings(self):
         rng = np.random.default_rng(21)
         pts = 1e200 * (1.0 + rng.normal(size=(20, 3)))

@@ -9,6 +9,7 @@ from mvspectral import (
     DimensionError,
     DimensionMismatch,
     ExperimentConfig,
+    InvalidCluster,
     InvalidSpec,
     InvalidTimeSeries,
     InvalidView,
@@ -26,6 +27,7 @@ from mvspectral import (
     compute_embedding,
     consensus_labelling,
     consistency_experiment,
+    cut_cost,
     embed,
     generalized_eig,
     generalized_eigvals,
@@ -137,6 +139,12 @@ def series_with_nan():
      InvalidSpec, Exception, 4),
     (lambda: synth_views(SyntheticSpec(n=8, k_true=2, m=2, rng_seed=-1)),
      InvalidSpec, Exception, 4),
+    (lambda: synth_views(SyntheticSpec(n=8, k_true=3, m=1, block_sizes=(3.5, 3.0, 2.0))),
+     InvalidSpec, Exception, 4),
+    (lambda: cut_cost(triangle(), Partition(assignment=np.array([1, 2, 3]), k=3), 1.5),
+     InvalidCluster, Exception, 4),
+    (lambda: volume(triangle(), Partition(assignment=np.array([1, 2, 3]), k=3), 2.5),
+     InvalidCluster, Exception, 4),
     (lambda: MultiViewSet([np.eye(3)]), InvalidView, TypeError, 2),
     (lambda: volume(triangle(), Partition(assignment=np.array([1, 2, 1, 2]), k=2), 1),
      DimensionError, Exception, 2),
@@ -167,7 +175,8 @@ def series_with_nan():
         "pipeline-fractional-rng-seed", "pipeline-negative-rng-seed",
         "consistency-fractional-rng-seed", "consistency-negative-rng-seed",
         "synth-fractional-m", "synth-float-k", "synth-float-n", "synth-fractional-rng-seed",
-        "synth-negative-rng-seed", "set-first-view-type", "volume-partition-size",
+        "synth-negative-rng-seed", "synth-fractional-block-size", "cut-fractional-cluster",
+        "volume-fractional-cluster", "set-first-view-type", "volume-partition-size",
         "mvsc-fractional-m", "mvscw-fractional-k", "embed-fractional-k", "aasc-fractional-k",
         "jdl-embed-fractional-k", "consensus-fractional-k", "consensus-fractional-seeds",
         "consensus-negative-base-seed", "consensus-fractional-base-seed",

@@ -10,6 +10,7 @@ from mvspectral import (
     LengthMismatch,
     MultiViewSet,
     Partition,
+    SyntheticSpec,
     ViewGraph,
     WeightVector,
     aasc_weights,
@@ -23,6 +24,7 @@ from mvspectral import (
     mvscw_weights,
     ncut_cost,
     smallest_nontrivial,
+    synth_views,
     volume,
 )
 from mvspectral import eigen, multiview
@@ -325,6 +327,24 @@ class TestAascWeights:
         again = embed(set_, w, k=3)
         np.testing.assert_array_equal(emb.coords, again.coords)
         np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
+
+    def test_no_round_repeats_and_the_last_embedding_is_returned(self, monkeypatch):
+        # The first 16 views of the criterion-8 family, at its k=8: round 2
+        # accepts no candidate, so a third round would replay it.
+        views, _ = synth_views(SyntheticSpec(n=116, k_true=5, m=128, rng_seed=44))
+        set_ = views.subset(range(16))
+        seen = []
+        real = multiview.embed
+        monkeypatch.setattr(multiview, "embed",
+                            lambda s, w, k: seen.append(w.alpha.tobytes()) or real(s, w, k))
+        w, emb, trace = aasc_weights(set_, 8)
+        monkeypatch.undo()
+        assert len(seen) >= 2
+        assert len(set(seen)) == len(seen), "two embeddings solved bit-identical weights"
+        again = embed(set_, w, 8)
+        np.testing.assert_array_equal(emb.coords, again.coords)
+        np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
+        assert trace[-1] == float(again.eigenvalues.sum())
 
     def test_needs_two_views(self):
         rng = np.random.default_rng(20)
