@@ -30,6 +30,7 @@ from .io import (
     dump_json,
     load_timeseries,
     load_views,
+    to_jsonable,
     write_matrix_csv,
 )
 from .synth import SyntheticSpec, synth_views
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("embed", "cluster", "eigengap", "consistency", "timing"):
         parsers[name].add_argument("--manifest", type=Path, required=True)
     parsers["eigengap"].add_argument("--k-max", type=int, default=10)
-    parsers["timing"].add_argument("--methods", default="mvsc,mvscw,aasc,jdl",
+    parsers["timing"].add_argument("--methods", default=",".join(METHODS),
                                    help="comma-separated method list")
     return parser
 
@@ -191,7 +192,7 @@ def _cmd_cluster(args) -> None:
     cfg = ExperimentConfig(method=args.method, k=args.k, num_seeds=args.num_seeds,
                            rng_seed=args.seed, row_normalize=args.row_normalize)
     run = run_pipeline(views, cfg)
-    payload = run.to_dict()
+    payload = to_jsonable(run)
     payload["negative_entries_zeroed"] = negatives
     _emit(payload, args.output)
 

@@ -63,10 +63,6 @@ class Labelling:
         if a.max(initial=self.k) > self.k:
             raise ShapeMismatch(f"labels must lie in 1..{self.k}")
 
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
-
 
 def _labels_of(x) -> np.ndarray:
     """int64 labels; ``ShapeMismatch`` unless 1-d whole numbers of at least 1."""

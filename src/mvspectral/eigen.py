@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DisconnectedGraph, InvalidView, NoConvergence
+from .errors import DimensionError, DisconnectedGraph, InvalidView, NoConvergence, _is_int
 from .graphs import ViewGraph, degree, normalized_laplacian
 
 # Every eigenvalue of a graph's pencil (L, D) lies in [0, 2]; eigenvalues
@@ -70,8 +70,8 @@ def _solve(g: ViewGraph, count: int | None, vectors: bool):
     if not isinstance(g, ViewGraph):
         raise InvalidView(f"expected a ViewGraph, got {type(g).__name__}")
     d = degree(g)
-    if count is not None and not 1 <= count <= g.n:
-        raise DimensionError(f"count must be in 1..{g.n}, got {count}")
+    if count is not None and not (_is_int(count) and 1 <= count <= g.n):
+        raise DimensionError(f"count must be an integer in 1..{g.n}, got {count!r}")
     subset = None if count is None else [0, count - 1]
     # Without vectors LAPACK finds a full spectrum by another algorithm
     # (dsterf, not dstemr) that rounds differently, so a full spectrum is
@@ -95,7 +95,7 @@ def generalized_eig(g: ViewGraph, count: int | None = None) -> EigenPairs:
 
     Raises:
         InvalidView: ``g`` is not a ``ViewGraph``.
-        DimensionError: ``count`` is outside 1..n.
+        DimensionError: ``count`` is not an integer in 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
     values, reduced, d = _solve(g, count, vectors=True)
@@ -113,7 +113,7 @@ def generalized_eigvals(g: ViewGraph, count: int) -> np.ndarray:
 
     Raises:
         InvalidView: ``g`` is not a ``ViewGraph``.
-        DimensionError: ``count`` is outside 1..n.
+        DimensionError: ``count`` is not an integer in 1..n.
         IsolatedVertex: some degree is not strictly positive.
     """
     values, _, _ = _solve(g, count, vectors=False)
@@ -141,11 +141,11 @@ def smallest_nontrivial(sol: EigenPairs, count: int) -> Embedding:
 
     Raises:
         DisconnectedGraph: the zero eigenvalue is not simple.
-        DimensionError: count outside 1..s-1 for s solved pairs (s <= n).
+        DimensionError: count not an integer in 1..s-1 for s solved pairs (s <= n).
     """
     n, solved = sol.vectors.shape
-    if not 1 <= count <= solved - 1:
-        raise DimensionError(f"count must be in 1..{solved - 1}, got {count}")
+    if not (_is_int(count) and 1 <= count <= solved - 1):
+        raise DimensionError(f"count must be an integer in 1..{solved - 1}, got {count!r}")
     zeros = zero_multiplicity(sol.values)
     if zeros != 1:
         partial = zeros == solved < n

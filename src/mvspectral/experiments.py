@@ -3,7 +3,7 @@
 Randomness is controlled by one master seed.  Every consistency trial derives
 its own generator from ``SeedSequence([master, group_size, trial])``, so any
 single trial can be reproduced in isolation and results do not depend on
-scheduling order.
+the order in which trials run.
 """
 
 from __future__ import annotations
@@ -143,12 +143,11 @@ def eigengap_report(set_: MultiViewSet, method: str, k_max: int) -> EigengapRepo
     column scores.  ``suggested_k`` marks the largest consecutive ratio.
 
     Raises:
-        InvalidSpec: an unknown method or ``k_max`` outside ``1..n-1``;
-            both are checked before any eigensolve.
+        InvalidSpec: an unknown method, or ``k_max`` not an integer in
+            ``1..n-1``; both are checked before any eigensolve.
     """
-    check_method(method)
-    if not 1 <= k_max <= set_.n - 1:
-        raise InvalidSpec(f"k_max={k_max} is outside 1..{set_.n - 1} for n={set_.n} vertices")
+    if not (_is_int(k_max) and 1 <= k_max <= set_.n - 1):
+        raise InvalidSpec(f"k_max={k_max!r} is outside 1..{set_.n - 1} for n={set_.n} vertices")
     values = compute_embedding(set_, method, k_max + 1)[0].eigenvalues
     ratios = [float(values[i + 1] / values[i]) for i in range(len(values) - 1)]
     suggested = (int(np.argmax(ratios)) + 2) if ratios else 2
@@ -204,11 +203,8 @@ def consistency_experiment(set_: MultiViewSet, cfg: ExperimentConfig) -> Consist
     trial can be reproduced alone.
     """
     cfg.validate(set_.m)
-    cells = [(gamma, t) for gamma in cfg.group_sizes for t in range(cfg.trials)]
-    results = [_trial_dice(set_, cfg, gamma, t) for gamma, t in cells]
-    values: dict = {gamma: [] for gamma in cfg.group_sizes}
-    for (gamma, _), value in zip(cells, results):
-        values[gamma].append(float(value))
+    values = {gamma: [float(_trial_dice(set_, cfg, gamma, t)) for t in range(cfg.trials)]
+              for gamma in cfg.group_sizes}
     summary = {}
     for gamma, samples in values.items():
         lo, q1, med, q3, hi = np.percentile(samples, [0, 25, 50, 75, 100])

@@ -42,8 +42,8 @@ ASYMMETRY_WARN = 1e-8
 class ViewGraph:
     """One view: a dense symmetric nonnegative affinity matrix.
 
-    Instances are immutable; the weight matrix is marked read-only so views
-    can be shared freely across threads.
+    Instances are immutable; the weight matrix is marked read-only so sets
+    and their subsets can share a view's weights without copying them.
     """
 
     weights: np.ndarray
@@ -201,7 +201,12 @@ def normalized_laplacian(weights, degrees) -> np.ndarray:
 
 
 def laplacian(g: ViewGraph) -> np.ndarray:
-    """The combinatorial (unnormalized) laplacian D - W, read-only."""
+    """The combinatorial (unnormalized) laplacian D - W, read-only.
+
+    No code in the package calls it: the eigensolves and jdl work on
+    ``normalized_laplacian``.  It stays as the plain L = D - W that the tests
+    check those against, independently of the normalized form.
+    """
     mat = np.diag(degree(g)) - g.weights
     mat.setflags(write=False)
     return mat

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DimensionMismatch, IsolatedVertex, ParseError
+from .errors import DimensionMismatch, IsolatedVertex, ParseError
 from .graphs import ViewGraph, graph_from_timeseries
 from .multiview import MultiViewSet
 
@@ -176,8 +176,8 @@ def read_manifest(path) -> list:
     return resolved
 
 
-def load_views(source):
-    """Load a multi-view set from a manifest path or (path, type) pairs.
+def load_views(manifest):
+    """Load the multi-view set that a manifest names.
 
     Each view, once checked, is written into one (m, n, n) array, which is
     then frozen: the family is held once, and the views are its slices.
@@ -191,12 +191,8 @@ def load_views(source):
     Raises:
         ParseError, DimensionMismatch, IsolatedVertex: surfaced with the
             offending file named.
-        DimensionError: no entries.
     """
-    if isinstance(source, (str, Path)):
-        entries = read_manifest(source)
-    else:
-        entries = [(Path(p), kind) for p, kind in source]
+    entries = read_manifest(manifest)
     stack = None
     zeroed = 0
     for i, (file_path, kind) in enumerate(entries):
@@ -215,8 +211,6 @@ def load_views(source):
             raise IsolatedVertex(int(isolated[0]), detail=f" in {file_path}")
         stack[i] = view.weights
         zeroed += count
-    if stack is None:
-        raise DimensionError("need at least one view")
     stack.setflags(write=False)
     return MultiViewSet(ViewGraph(weights=weights) for weights in stack), zeroed
 
@@ -267,6 +261,3 @@ class RunReport:
     embedding_seconds: float
     version: str
     config: dict
-
-    def to_dict(self) -> dict:
-        return to_jsonable(self)

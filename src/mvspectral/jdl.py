@@ -73,21 +73,19 @@ class JointDiagonalizer:
 
 
 def _square_family(matrices) -> np.ndarray:
-    """Stack a family of matrices as an (m, n, n) float64 array.
+    """A family of matrices as one (m, n, n) float64 array, not copied if it is one.
 
     Raises:
-        DimensionMismatch: no matrix, or not all nonempty square of one size.
+        DimensionMismatch: no matrix, or not all nonempty square numeric matrices of one size.
         InvalidWeights: some entry is not finite.
     """
-    mats = [np.asarray(a, dtype=np.float64) for a in matrices]
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    shape = mats[0].shape
-    for i, a in enumerate(mats):
-        if a.ndim != 2 or a.shape != shape or not 0 < a.shape[0] == a.shape[1]:
-            raise DimensionMismatch(
-                f"matrix {i} has shape {a.shape}; expected nonempty square matrices of one size")
-    stack = np.stack(mats)
+    try:
+        stack = np.asarray(matrices, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch(f"not numeric matrices of one shape: {exc}") from exc
+    if not (stack.ndim == 3 and stack.shape[0] and 0 < stack.shape[1] == stack.shape[2]):
+        raise DimensionMismatch(
+            f"family has shape {stack.shape}; expected nonempty square matrices of one size")
     if not np.all(np.isfinite(stack)):
         raise InvalidWeights("matrix family contains non-finite entries")
     return stack
@@ -142,15 +140,13 @@ def _round_robin_schedule(n: int) -> list:
     return steps
 
 
-def _rotations(forms: np.ndarray, skip_threshold: float,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """One step's pooled Jacobi rotations as an (h, 2, 2) batch [[c, s], [-s, c]].
+def _rotations(forms: np.ndarray, skip_threshold: float, out: np.ndarray) -> np.ndarray:
+    """Write one step's pooled Jacobi rotations into ``out``, (h, 2, 2) [[c, s], [-s, c]].
 
     ``forms`` is (2, m, h), h1 = A_pp - A_qq and h2 = 2 A_pq per view and pair.
     The angle is the symmetric-Schur angle atan2(2 g12, g11 - g22) / 4 of
     their pooled Gram form g.  A pair whose pooled off-diagonal mass g22 / 2
-    is below ``skip_threshold``, or whose sine is below 1e-16, is idle.  The
-    batch is written into ``out`` when given, else into a new array.
+    is below ``skip_threshold``, or whose sine is below 1e-16, is idle.
     """
     g = np.einsum("ami,bmi->abi", forms, forms)
     theta = 0.25 * np.arctan2(2.0 * g[0, 1], g[0, 0] - g[1, 1])
@@ -159,12 +155,11 @@ def _rotations(forms: np.ndarray, skip_threshold: float,
     theta[idle] = 0.0
     s[idle] = 0.0
     c = np.cos(theta)
-    rot = np.empty((theta.size, 2, 2)) if out is None else out
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = s
-    np.negative(s, out=rot[:, 1, 0])
-    rot[:, 1, 1] = c
-    return rot
+    out[:, 0, 0] = c
+    out[:, 0, 1] = s
+    np.negative(s, out=out[:, 1, 0])
+    out[:, 1, 1] = c
+    return out
 
 
 def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
@@ -243,7 +238,7 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
         for gather in gathers:
             np.subtract(blocks[0, 0], blocks[1, 1], out=forms[0])
             np.multiply(blocks[0, 1], 2.0, out=forms[1])
-            _rotations(forms, skip_threshold, out=rot)
+            _rotations(forms, skip_threshold, rot)
             np.matmul(rot, rows, out=spare_rows)
             # stack[i, a] = spare[gather[a], i]: the row gather and the transpose in one pass.
             np.take(spare_cells, gather * size + positions, axis=0, out=stack, mode="clip")

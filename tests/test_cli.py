@@ -87,6 +87,14 @@ class TestEigengapAndExperiments:
         payload = json.loads(out.read_text())
         assert payload["suggested_k"] == 3
 
+    def test_eigengap_stdout_is_the_output_file(self, planted_dir, tmp_path, capsys):
+        args = ["eigengap", "--manifest", planted_dir / "manifest.json", "--k-max", 6]
+        out = tmp_path / "gap.json"
+        assert run_cli([*args, "--output", out]) == 0
+        capsys.readouterr()
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_consistency_smoke(self, planted_dir, tmp_path):
         out = tmp_path / "cons.json"
         code = run_cli(["consistency", "--manifest", planted_dir / "manifest.json",

@@ -28,6 +28,7 @@ from mvspectral import (
     consensus_labelling,
     consistency_experiment,
     cut_cost,
+    eigengap_report,
     embed,
     generalized_eig,
     generalized_eigvals,
@@ -38,14 +39,17 @@ from mvspectral import (
     kmeans,
     mvsc_weights,
     mvscw_weights,
+    ncut_cost,
     off_cost,
     run_pipeline,
+    smallest_nontrivial,
     synth_views,
     timing_experiment,
     volume,
 )
 from mvspectral import experiments
 from mvspectral.cli import main
+from mvspectral.errors import EXIT_CONFIG
 
 SOURCES = sorted(Path(mvspectral.__file__).parent.glob("*.py"))
 
@@ -161,6 +165,28 @@ def series_with_nan():
     (lambda: consensus_labelling(points(), 2, num_seeds=2, base_seed=0.5),
      InvalidSpec, Exception, 4),
     (lambda: kmeans(points(), 2, seed=-1), InvalidSpec, Exception, 4),
+    (lambda: generalized_eig(triangle(), 2.5), DimensionError, Exception, 2),
+    (lambda: generalized_eig(triangle(), np.float64(2.7)), DimensionError, Exception, 2),
+    (lambda: generalized_eigvals(triangle(), 2.5), DimensionError, Exception, 2),
+    (lambda: smallest_nontrivial(generalized_eig(triangle()), 1.5),
+     DimensionError, Exception, 2),
+    (lambda: eigengap_report(triangles(), "mvsc", "a"), InvalidSpec, Exception, 4),
+    (lambda: kmeans(np.arange(6.0), 2, seed=0), TooFewPoints, Exception, 4),
+    (lambda: Partition(assignment=np.array([[1, 2]]), k=2), DimensionError, Exception, 2),
+    (lambda: graph_from_timeseries(np.arange(6.0)), DimensionError, Exception, 2),
+    (lambda: graph_from_timeseries(np.arange(6.0).reshape(6, 1)), DimensionError, Exception, 2),
+    (lambda: cut_cost(triangle(), Partition(assignment=np.array([1, 2, 1, 2]), k=2), 1),
+     DimensionError, Exception, 2),
+    (lambda: ncut_cost(triangle(), Partition(assignment=np.array([1, 2, 1, 2]), k=2)),
+     DimensionError, Exception, 2),
+    (lambda: MultiViewSet([]), DimensionError, Exception, 2),
+    (lambda: WeightVector(np.array([[0.5, 0.5]])), DimensionError, Exception, 2),
+    (lambda: off_cost([np.eye(3)], np.eye(2)), DimensionMismatch, Exception, 2),
+    (lambda: off_cost([np.eye(2), np.eye(3)], np.eye(2)), DimensionMismatch, Exception, 2),
+    (lambda: joint_diagonalize_matrices([np.eye(2), "x"]), DimensionMismatch, Exception, 2),
+    (lambda: jdl_embed(joint_diagonalize(triangles()),
+                       MultiViewSet([ViewGraph.from_weights(np.ones((4, 4)))]), 2),
+     DimensionMismatch, Exception, 2),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "eigvals-graph-type",
         "weights-negative", "weights-sum",
         "weights-nan",
@@ -180,7 +206,12 @@ def series_with_nan():
         "mvsc-fractional-m", "mvscw-fractional-k", "embed-fractional-k", "aasc-fractional-k",
         "jdl-embed-fractional-k", "consensus-fractional-k", "consensus-fractional-seeds",
         "consensus-negative-base-seed", "consensus-fractional-base-seed",
-        "kmeans-negative-seed"])
+        "kmeans-negative-seed", "eig-fractional-count", "eig-float64-count",
+        "eigvals-fractional-count", "nontrivial-fractional-count", "eigengap-text-k-max",
+        "kmeans-1d-points", "partition-2d",
+        "timeseries-1d", "timeseries-one-region", "cut-partition-size", "ncut-partition-size",
+        "set-no-views", "weights-2d", "off-cost-basis-shape", "off-cost-mixed-shapes",
+        "jdl-non-numeric", "jdl-embed-other-n"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()
@@ -222,6 +253,18 @@ def test_synth_nonfinite_moments_are_config_errors(moments, tmp_path, capsys):
     assert code == InvalidSpec.exit_code == 4
     assert err.count("\n") == 1 and "must be finite" in err
     assert not (tmp_path / "family").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["consistency", "--manifest", "m.json", "--group-sizes", "2,x"],
+    ["synth", "--outdir", "family", "--intra", "1"],
+    ["synth", "--outdir", "family", "--intra", "a,b"],
+], ids=["int-list", "float-pair-one-value", "float-pair-text"])
+def test_malformed_flag_value_is_config_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG == 4
+    assert "error: argument --" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)

@@ -237,6 +237,13 @@ class TestManifestAndLoadViews:
         with pytest.raises(ParseError):
             read_manifest(manifest)
 
+    def test_invalid_json_names_the_line(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[\n  {"path": "a.csv"},,\n]\n')
+        with pytest.raises(ParseError, match=r"manifest\.json:2: invalid JSON") as info:
+            read_manifest(manifest)
+        assert info.value.line == 2 and info.value.exit_code == 2
+
     @pytest.mark.parametrize("entry", [{"path": 5}, {"path": None}, {"type": "adjacency"},
                                        {"path": "a\x00b.csv"}, "a.csv"],
                              ids=["int", "null", "absent", "nul-char", "not-object"])

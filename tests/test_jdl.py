@@ -296,7 +296,7 @@ class TestRoundRobinOrdering:
         h2[:, 4] = -np.abs(h2[:, 4]) - 0.1
         h1[:, 5] = [1.0, 1.0, 0.0, 0.0, 0.0]  # r = 0 with a nonzero form:
         h2[:, 5] = [1.0, -1.0, 0.0, 0.0, 0.0]  # g11 = g22 = 2, g12 = 0
-        rot = _rotations(np.stack([h1, h2]), 0.0)
+        rot = _rotations(np.stack([h1, h2]), 0.0, np.empty((400, 2, 2)))
         c, s = rot[:, 0, 0], rot[:, 0, 1]
         np.testing.assert_array_equal(rot[:, 1, 1], c)
         np.testing.assert_array_equal(rot[:, 1, 0], -s)
@@ -310,7 +310,7 @@ class TestRoundRobinOrdering:
 
     def test_pair_below_skip_threshold_is_identity(self):
         forms = np.array([[[3.0, 3.0]], [[1e-3, 4.0]]])  # (2, m=1, h=2)
-        rot = _rotations(forms, skip_threshold=1.0)  # pair 0's mass 0.5 * 1e-6 is below
+        rot = _rotations(forms, 1.0, np.empty((2, 2, 2)))  # pair 0's mass 0.5 * 1e-6 is below
         np.testing.assert_array_equal(rot[0], np.eye(2))
         assert rot[1, 0, 1] != 0.0
 

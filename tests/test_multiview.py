@@ -50,6 +50,19 @@ def planted_view(rng, n, blocks, intra=1.0, inter=0.1, noise=0.02):
     return graph_of(w)
 
 
+def criterion_8_views():
+    """The first 16 views of the criterion-8 family, whose k is 8."""
+    views, _ = synth_views(SyntheticSpec(n=116, k_true=5, m=128, rng_seed=44))
+    return views.subset(range(16))
+
+
+def assert_aasc_ends_on_embed_of_weights(set_, w, emb, trace):
+    again = embed(set_, w, 8)
+    np.testing.assert_array_equal(emb.coords, again.coords)
+    np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
+    assert trace[-1] == float(again.eigenvalues.sum())
+
+
 def oracle_eigsum(view, k):
     """Independent route: scipy's generalized symmetric driver on (L, D)."""
     d = degree(view)
@@ -329,10 +342,8 @@ class TestAascWeights:
         np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
 
     def test_no_round_repeats_and_the_last_embedding_is_returned(self, monkeypatch):
-        # The first 16 views of the criterion-8 family, at its k=8: round 2
-        # accepts no candidate, so a third round would replay it.
-        views, _ = synth_views(SyntheticSpec(n=116, k_true=5, m=128, rng_seed=44))
-        set_ = views.subset(range(16))
+        # Round 2 accepts no candidate, so a third round would replay it.
+        set_ = criterion_8_views()
         seen = []
         real = multiview.embed
         monkeypatch.setattr(multiview, "embed",
@@ -341,10 +352,40 @@ class TestAascWeights:
         monkeypatch.undo()
         assert len(seen) >= 2
         assert len(set(seen)) == len(seen), "two embeddings solved bit-identical weights"
-        again = embed(set_, w, 8)
-        np.testing.assert_array_equal(emb.coords, again.coords)
-        np.testing.assert_array_equal(emb.eigenvalues, again.eigenvalues)
-        assert trace[-1] == float(again.eigenvalues.sum())
+        assert_aasc_ends_on_embed_of_weights(set_, w, emb, trace)
+
+    def test_round_cap_embeds_the_final_weights(self, monkeypatch):
+        # Round 1 accepts a candidate, so only the cap can end the search.
+        set_ = criterion_8_views()
+        calls = []
+        real = multiview.embed
+        monkeypatch.setattr(multiview, "MAX_ROUNDS", 1)
+        monkeypatch.setattr(multiview, "embed",
+                            lambda s, w, k: calls.append(w) or real(s, w, k))
+        w, emb, trace = aasc_weights(set_, 8)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+        assert_aasc_ends_on_embed_of_weights(set_, w, emb, trace)
+
+    def test_round_tolerance_embeds_the_final_weights(self, monkeypatch):
+        # Each search reports its best value a hair lower, so every round
+        # accepts a candidate and the search ends on ROUND_RTOL instead.
+        set_ = criterion_8_views()
+        calls = []
+        real_embed, real_golden = multiview.embed, multiview._golden_min
+
+        def lowered(*args):
+            x, f = real_golden(*args)
+            return x, f * (1.0 - 1e-9)
+
+        monkeypatch.setattr(multiview, "_golden_min", lowered)
+        monkeypatch.setattr(multiview, "embed",
+                            lambda s, w, k: calls.append(w) or real_embed(s, w, k))
+        w, emb, trace = aasc_weights(set_, 8)
+        monkeypatch.undo()
+        assert len(calls) == 4 and len(trace) == 10
+        assert_aasc_ends_on_embed_of_weights(set_, w, emb, trace)
 
     def test_needs_two_views(self):
         rng = np.random.default_rng(20)
