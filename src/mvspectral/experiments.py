@@ -171,8 +171,7 @@ def _trial_dice(set_: MultiViewSet, cfg: ExperimentConfig, gamma: int, trial: in
     idx_a, idx_b = _disjoint_pair(rng, set_.m, gamma)
     labellings = []
     for indices, child in ((idx_a, seed_a), (idx_b, seed_b)):
-        subset = set_.subset(indices)
-        emb, _ = compute_embedding(subset, cfg.method, cfg.k)
+        emb, _ = compute_embedding(set_.subset(indices), cfg.method, cfg.k)
         base = int(child.generate_state(1)[0] % (2 ** 31))
         labellings.append(
             consensus_labelling(emb, cfg.k, num_seeds=cfg.num_seeds, base_seed=base,
@@ -297,9 +296,9 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
     """Wall-clock embedding time per method and group size.
 
     The clock covers only the embedding computation (including any weight
-    optimization the method requires); the adjacency matrices are prepared
-    before it starts.  Each cell runs one untimed warm-up followed by
-    ``trials`` timed repetitions on the first ``m`` views.  Cells run
+    optimization the method requires); each run first builds a fresh set,
+    its stack and degrees included.  Each cell runs one untimed warm-up
+    followed by ``trials`` timed repetitions on the first ``m`` views.  Cells run
     strictly sequentially, with BLAS pools pinned to one thread for the
     duration so dispatch thresholds do not distort the size scaling.
 
@@ -334,8 +333,6 @@ def timing_experiment(set_: MultiViewSet, methods, k: int, group_sizes,
                 samples = []
                 for run in range(trials + 1):
                     fresh = MultiViewSet(chosen)
-                    fresh.stack  # materialize inputs outside the clock
-                    fresh.degrees
                     start = time.perf_counter()
                     compute_embedding(fresh, method, k)
                     elapsed = time.perf_counter() - start

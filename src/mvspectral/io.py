@@ -18,12 +18,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IsolatedVertex, ParseError
+from .errors import DimensionMismatch, IsolatedVertex, MVSpectralError, ParseError
 from .graphs import ViewGraph, graph_from_timeseries
 from .multiview import MultiViewSet
 
@@ -133,22 +134,43 @@ def read_matrix_csv(path):
 def load_adjacency(path):
     """Load one adjacency CSV as a view.
 
+    Every error it raises names ``path``.
+
     Returns:
         (ViewGraph, number of negative entries zeroed)
     """
     matrix, _ = read_matrix_csv(path)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"{path}: adjacency must be square, got {matrix.shape}")
-    negatives = int(np.count_nonzero(matrix < 0.0))
-    if negatives:
-        matrix = np.maximum(matrix, 0.0)
-    return ViewGraph.from_weights(matrix), negatives
+    with _naming(path):
+        if matrix.shape[0] != matrix.shape[1]:
+            raise DimensionMismatch(f"adjacency must be square, got {matrix.shape}")
+        negatives = int(np.count_nonzero(matrix < 0.0))
+        if negatives:
+            matrix = np.maximum(matrix, 0.0)
+        return ViewGraph.from_weights(matrix), negatives
 
 
 def load_timeseries(path) -> ViewGraph:
-    """Load one time-series CSV and build its correlation graph."""
+    """Load one time-series CSV and build its correlation graph.
+
+    Every error it raises names ``path``.
+    """
     matrix, _ = read_matrix_csv(path)
-    return graph_from_timeseries(matrix)
+    with _naming(path):
+        return graph_from_timeseries(matrix)
+
+
+@contextmanager
+def _naming(path):
+    """Put ``path`` in front of the message of any library error raised inside.
+
+    The error keeps its type and attributes.  ``read_matrix_csv`` stays
+    outside, since its ``ParseError`` names the file already.
+    """
+    try:
+        yield
+    except MVSpectralError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_manifest(path) -> list:
@@ -189,7 +211,8 @@ def load_views(manifest):
         (MultiViewSet, total number of negative adjacency entries zeroed)
 
     Raises:
-        ParseError, DimensionMismatch, IsolatedVertex: surfaced with the
+        MVSpectralError: any check's error (``ParseError``,
+            ``DimensionMismatch``, ``IsolatedVertex``, ...), with the
             offending file named.
     """
     entries = read_manifest(manifest)

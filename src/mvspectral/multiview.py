@@ -49,6 +49,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class MultiViewSet:
     """Ordered collection of views over one shared vertex set.
 
+    ``stack``, the read-only (m, n, n) affinity matrices, and ``degrees``,
+    their read-only (m, n) row sums, are built with the set.
     ``synth_views`` and ``load_views`` hold a family once: each view's
     weights are a slice of one read-only (m, n, n) array.  A set over
     consecutive views of such an array (``views[a:b]``,
@@ -70,28 +72,13 @@ class MultiViewSet:
         self.views = views
         self.n = views[0].n
         self.m = len(views)
-        self._stack = None
-        self._degrees = None
-
-    @property
-    def stack(self) -> np.ndarray:
-        """Read-only m x n x n array of all affinity matrices."""
-        if self._stack is None:
-            stack = _shared_stack(self.views)
-            if stack is None:
-                stack = np.stack([v.weights for v in self.views])
-                stack.setflags(write=False)
-            self._stack = stack
-        return self._stack
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """m x n array of per-view degree vectors."""
-        if self._degrees is None:
-            degs = self.stack.sum(axis=2)
-            degs.setflags(write=False)
-            self._degrees = degs
-        return self._degrees
+        stack = _shared_stack(views)
+        if stack is None:
+            stack = np.stack([v.weights for v in views])
+            stack.setflags(write=False)
+        self.stack = stack
+        self.degrees = stack.sum(axis=2)
+        self.degrees.setflags(write=False)
 
     def subset(self, indices) -> "MultiViewSet":
         return MultiViewSet([self.views[i] for i in indices])

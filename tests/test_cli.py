@@ -168,6 +168,15 @@ class TestIngest:
         assert not list(outdir.glob("*.adj.csv"))
         assert not (tmp_path / "ingest.json").exists()
 
+    def test_short_series_names_its_file(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("1.0,2.0,3.0\n2.0,1.0,5.0\n")
+        code = run_cli(["ingest", short, "--outdir", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{short}: need at least 3 time points, got 2" in err
+        assert err.count("short.csv") == 1
+
 
 class TestExitCodes:
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):

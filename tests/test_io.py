@@ -5,7 +5,10 @@ import pytest
 
 import mvspectral.io
 from mvspectral import (
+    DimensionError,
     DimensionMismatch,
+    ExperimentConfig,
+    InvalidWeights,
     ParseError,
     ZeroVarianceColumn,
     dump_json,
@@ -151,8 +154,9 @@ class TestLoadAdjacency:
     def test_non_square_rejected(self, tmp_path):
         f = tmp_path / "rect.csv"
         write_csv(f, [[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as info:
             load_adjacency(f)
+        assert str(info.value) == f"{f}: adjacency must be square, got (2, 3)"
 
     def test_asymmetry_warns(self, tmp_path):
         f = tmp_path / "asym.csv"
@@ -216,9 +220,28 @@ class TestManifestAndLoadViews:
         write_csv(tmp_path / "ts.csv", series.tolist())
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps([{"path": "ts.csv", "type": "timeseries"}]))
-        with pytest.raises(ZeroVarianceColumn) as info:
+        with pytest.raises(ZeroVarianceColumn, match="ts.csv") as info:
             load_views(manifest)
         assert info.value.index == 1
+        assert str(info.value).count("ts.csv") == 1 and info.value.exit_code == 2
+
+    @pytest.mark.parametrize("kind, rows, error, detail", [
+        ("timeseries", [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], DimensionError,
+         "need at least 3 time points, got 2"),
+        ("adjacency", [[0.0]], DimensionError, "graph needs at least 2 vertices"),
+        ("adjacency", [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]],
+         InvalidWeights, "affinity matrix degrees overflow float64"),
+    ], ids=["two-time-points", "one-vertex", "degree-overflow"])
+    def test_view_error_names_its_file_once(self, tmp_path, kind, rows, error, detail):
+        write_csv(tmp_path / "ok.csv", (np.ones((3, 3)) - np.eye(3)).tolist())
+        write_csv(tmp_path / "bad.csv", rows)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "ok.csv", "type": "adjacency"},
+                                        {"path": "bad.csv", "type": kind}]))
+        with pytest.raises(error) as info:
+            load_views(manifest)
+        assert str(info.value) == f"{tmp_path.resolve() / 'bad.csv'}: {detail}"
+        assert info.value.exit_code == 2
 
     def test_isolated_vertex_named_with_file(self, tmp_path):
         from mvspectral import IsolatedVertex
@@ -271,3 +294,10 @@ class TestRunReport:
         plain = {"m": (np.arange(6.0).reshape(2, 3) / 7.0).tolist(), "i": [1, 2]}
         assert dump_json(payload) == dump_json(plain)
         assert dump_json(np.array(2.5)) == "2.5\n"
+
+    def test_numpy_scalars_serialize_like_python_numbers(self):
+        numpy_config = ExperimentConfig(k=np.int64(5), rng_seed=np.int64(3),
+                                        group_sizes=(np.int64(4),))
+        assert dump_json(numpy_config) == dump_json(
+            ExperimentConfig(k=5, rng_seed=3, group_sizes=(4,)))
+        assert dump_json({"x": np.float64(0.1)}) == dump_json({"x": 0.1})

@@ -10,6 +10,7 @@ from mvspectral import (
     IsolatedVertex,
     Labelling,
     MultiViewSet,
+    NotSymmetric,
     ViewGraph,
     consensus_labelling,
     dice,
@@ -150,8 +151,21 @@ class TestJointDiagonalizeMatrices:
         assert hits >= 1
 
     def test_not_symmetric_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NotSymmetric) as info:
             joint_diagonalize_matrices([np.array([[0.0, 1.0], [0.5, 0.0]])])
+        assert info.value.exit_code == 2
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        rng = np.random.default_rng(12)
+        mats = np.array(random_symmetric_family(rng, 3, 6))
+        scale = np.abs(mats).max()
+        mats[1, 0, 2] += 1e-9 * scale
+        asym = np.abs(mats - mats.transpose(0, 2, 1)).max()
+        assert 0 < asym <= 1e-8 * np.abs(mats).max()
+        jd = joint_diagonalize_matrices(mats, max_sweeps=5)
+        sym = joint_diagonalize_matrices(0.5 * (mats + mats.transpose(0, 2, 1)), max_sweeps=5)
+        assert jd.basis.tobytes() == sym.basis.tobytes()
+        assert jd.off_history.tobytes() == sym.off_history.tobytes()
 
     def test_max_sweeps_cap_returns_best(self):
         rng = np.random.default_rng(9)

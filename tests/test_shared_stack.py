@@ -94,10 +94,18 @@ class TestSharing:
             assert not part.stack.flags.writeable
             assert part.stack.tobytes() == views.stack[start:stop].tobytes()
 
+    def test_stack_and_degrees_are_built_with_the_set(self):
+        views = MultiViewSet(family().views[2:6])
+        assert {"stack", "degrees"} <= vars(views).keys()
+        assert not views.degrees.flags.writeable
+        assert views.degrees.tobytes() == views.stack.sum(axis=2).tobytes()
+
     def test_set_stack_writes_are_refused(self):
         views = family()
         with pytest.raises(ValueError):
             views.stack[0, 0, 1] = 5.0
+        with pytest.raises(ValueError):
+            views.degrees[0, 0] = 5.0
         with pytest.raises(ValueError):
             views.views[0].weights[0, 1] = 5.0
 
@@ -147,24 +155,18 @@ class TestMemory:
     N, M = 200, 16
     FAMILY_BYTES = M * N * N * 8
 
-    def materialized(self, views):
-        views.stack
-        views.degrees
-        return views
-
     def test_synth_family_held_once(self):
         spec = SyntheticSpec(n=self.N, k_true=4, m=self.M, rng_seed=1)
-        used, views = traced(lambda: self.materialized(synth_views(spec)[0]))
+        used, views = traced(lambda: synth_views(spec)[0])
         assert used < 1.1 * self.FAMILY_BYTES + SLACK
 
     def test_loaded_family_held_once(self, tmp_path):
         manifest = write_family(tmp_path, family(n=self.N, k=4, m=self.M))
-        used, views = traced(lambda: self.materialized(load_views(manifest)[0]))
+        used, views = traced(lambda: load_views(manifest)[0])
         assert used < 1.1 * self.FAMILY_BYTES + SLACK
 
     def test_prefix_stack_is_not_copied(self):
         views = family(n=self.N, k=4, m=self.M)
-        views.stack
         used, prefix = traced(lambda: MultiViewSet(views.views[:self.M // 2]).stack)
         assert used < 1024
         assert np.shares_memory(prefix, views.stack)
