@@ -53,13 +53,16 @@ class LengthMismatch(MVSpectralError):
 
 
 class ZeroVarianceColumn(MVSpectralError):
-    """A time-series column is constant, so correlations are undefined."""
+    """A time-series column is constant, so correlations are undefined.
+
+    ``index`` counts from 0; the message counts from 1, as the CSV reader's do.
+    """
 
     exit_code = EXIT_INPUT
 
     def __init__(self, index: int, detail: str = ""):
         self.index = index
-        super().__init__(f"column {index} has zero variance{detail}")
+        super().__init__(f"column {index + 1} has zero variance{detail}")
 
 
 class IsolatedVertex(MVSpectralError):

@@ -225,6 +225,19 @@ class TestManifestAndLoadViews:
         assert info.value.index == 1
         assert str(info.value).count("ts.csv") == 1 and info.value.exit_code == 2
 
+    @pytest.mark.parametrize("second, error", [
+        (1.0, ZeroVarianceColumn), (float("nan"), ParseError),
+    ], ids=["constant", "nan"])
+    def test_column_errors_count_columns_from_one(self, tmp_path, second, error):
+        series = np.column_stack([np.arange(5.0), np.ones(5), np.arange(5.0) ** 2])
+        series[2, 1] = second
+        write_csv(tmp_path / "ts.csv", series.tolist())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"path": "ts.csv", "type": "timeseries"}]))
+        with pytest.raises(error, match=r"column 2\b") as info:
+            load_views(manifest)
+        assert info.value.exit_code == 2
+
     @pytest.mark.parametrize("kind, rows, error, detail", [
         ("timeseries", [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]], DimensionError,
          "need at least 3 time points, got 2"),

@@ -11,6 +11,7 @@ from mvspectral import (
     Labelling,
     MultiViewSet,
     NotSymmetric,
+    SyntheticSpec,
     ViewGraph,
     consensus_labelling,
     dice,
@@ -18,6 +19,7 @@ from mvspectral import (
     joint_diagonalize,
     joint_diagonalize_matrices,
     off_cost,
+    synth_views,
 )
 import mvspectral.jdl as jdl
 from mvspectral.eigen import fix_column_signs
@@ -363,6 +365,23 @@ class TestConvergedFlag:
         assert jd.converged is False
         assert jd.sweeps_run == 3
 
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n=48, k_true=4, m=16, intra_sd=0.4, inter_sd=0.4, rng_seed=3),
+        SyntheticSpec(n=116, k_true=5, m=128, rng_seed=44),
+    ], ids=["n48-sd0.4", "n116-first16"])
+    def test_default_rule_stops_once_the_true_k_subspace_settles(self, spec):
+        # Noisy families level off far above zero off-cost, so only a
+        # relative rule fires; the embedding must match a 100-sweep run's.
+        family, truth = synth_views(spec)
+        set_, k = family.subset(range(16)), truth.k
+        jd = joint_diagonalize(set_)
+        assert jd.converged is True and jd.sweeps_run < 30
+        full = joint_diagonalize(set_, tol=0.0, max_sweeps=100)
+        emb, ref = jdl_embed(jd, set_, k), jdl_embed(full, set_, k)
+        assert np.linalg.svd(emb.coords.T @ ref.coords, compute_uv=False).min() >= 0.9999
+        lab = consensus_labelling(emb, k, num_seeds=100, base_seed=3)
+        assert dice(lab, Labelling(assignment=truth.assignment, k=k)) == 1.0
+
 
 def reference_sweeps(matrices, sweeps):
     """The jdl sweeps one pair at a time, in natural index order (the slow oracle).
@@ -433,7 +452,7 @@ class TestPairInterleavedKernel:
         rng = np.random.default_rng(18)
         for n in (7, 8):
             mats = random_symmetric_family(rng, 3, n)
-            jd = joint_diagonalize_matrices(mats, max_sweeps=6)
+            jd = joint_diagonalize_matrices(mats, tol=0.0, max_sweeps=6)
             assert jd.reorthonormalizations == jd.sweeps_run == 6
             assert np.abs(jd.basis.T @ jd.basis - np.eye(n)).max() <= 1e-12
             assert off_cost(mats, jd.basis) == pytest.approx(jd.off_history[-1], rel=1e-9)
