@@ -19,18 +19,18 @@ built; k-means++ keeps that minimum while it draws, and hands Lloyd the
 first assignment and objective.  A consensus aligns all its runs in one
 pass: every table whose optimal matching is plain from its row maxima is
 matched at once, and only the rest go through
-``best_label_permutation``, which fixes rows in order by k - 1 exact
-assignment solves and so picks the lexicographically smallest optimum.
+``best_label_permutation``, which makes one exact assignment solve and picks
+the lexicographically smallest optimum among the tight edges of its duals.
 
-The assignment solver, ``scipy.optimize.linear_sum_assignment``, is imported
-on the first solve or consensus, not with the module: ``scipy.optimize`` costs
-most of the package's import time, and only ``dice`` and label alignment use
-it.  A consensus imports it even when none of its tables needs a solve, so
-its time and memory do not hinge on how its runs happen to agree.
+The assignment solver is the package's own Hungarian method over Python
+ints, so matching labels loads nothing beyond numpy: importing SciPy's
+compiled solver would add about 20 MB of resident memory and 0.2 s to every
+process that matches labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +69,21 @@ def _labels_of(x) -> np.ndarray:
     raw = np.asarray(getattr(x, "assignment", x))
     if raw.ndim != 1:
         raise ShapeMismatch(f"labels must be 1-d, got shape {raw.shape}")
-    if raw.dtype.kind not in "biuf":
-        raise ShapeMismatch(f"labels must be whole numbers, got dtype {raw.dtype}")
-    with np.errstate(invalid="ignore"):
-        labels = raw.astype(np.int64, copy=False)
-    if not np.array_equal(labels, raw):
-        raise ShapeMismatch("labels must be whole numbers")
+    labels = _whole(raw, "labels")
     if labels.min(initial=1) < 1:
         raise ShapeMismatch(f"labels must be at least 1, got {labels.min()}")
     return labels
+
+
+def _whole(raw: np.ndarray, what: str) -> np.ndarray:
+    """``raw`` as int64; ``ShapeMismatch`` unless every entry is a finite whole number."""
+    if raw.dtype.kind not in "biuf":
+        raise ShapeMismatch(f"{what} must be whole numbers, got dtype {raw.dtype}")
+    with np.errstate(invalid="ignore"):
+        values = raw.astype(np.int64, copy=False)
+    if not np.array_equal(values, raw):
+        raise ShapeMismatch(f"{what} must be whole numbers")
+    return values
 
 
 def _k_of(x, labels: np.ndarray) -> int:
@@ -313,15 +319,75 @@ def contingency_table(a, b) -> np.ndarray:
 
 
 def _assignment(cost: np.ndarray):
-    """Minimum-cost assignment of a square cost matrix, as (rows, cols)."""
-    from scipy.optimize import linear_sum_assignment
+    """Minimum-cost assignment of a square integer cost matrix, with its duals.
 
-    return linear_sum_assignment(cost)
+    The Hungarian method (Kuhn 1955, Munkres 1957) in the shortest
+    augmenting path form of Jonker and Volgenant, over ``cost.tolist()``, so
+    the optimum and the duals are exact Python ints.  Row minima start the
+    row duals, and each row takes the first free column at its minimum; each
+    row left over grows a Dijkstra tree over the reduced costs
+    ``cost[i][j] - u[i] - v[j]`` to a free column, shifts the duals by its
+    distances and flips the path.  Its O(k^3) interpreted steps fall behind
+    a compiled solver as k grows: on uniform random tables one solve takes
+    about 9/19/110/760 us at k = 5/8/20/50 on a 2-core VM, against
+    2/3/11/55 us for SciPy's ``linear_sum_assignment``.
+
+    Returns:
+        (cols, u, v): row i is matched to column ``cols[i]``; every reduced
+        cost is at least 0, and 0 on each matched edge.
+    """
+    a = cost.tolist()
+    k = len(a)
+    u = [min(row) for row in a]
+    v = [0] * k
+    cols = [-1] * k
+    row_of = [-1] * k
+    for i, row in enumerate(a):
+        for j in range(k):
+            if row_of[j] == -1 and row[j] == u[i]:
+                cols[i], row_of[j] = j, i
+                break
+    for i in range(k):
+        if cols[i] != -1:
+            continue
+        dist = [math.inf] * k
+        pred = [0] * k
+        remaining = list(range(k))
+        scanned = []
+        r, reach = i, 0
+        while True:
+            row, base = a[r], reach - u[r]
+            best = math.inf
+            for j in remaining:
+                d = base + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j], pred[j] = d, r
+                if dist[j] < best:
+                    best, c = dist[j], j
+            reach = best
+            remaining.remove(c)
+            scanned.append(c)
+            if row_of[c] == -1:
+                break
+            r = row_of[c]
+        u[i] += reach
+        for j in scanned:
+            step = reach - dist[j]
+            v[j] -= step
+            if row_of[j] != -1:
+                u[row_of[j]] += step
+        while True:
+            r = pred[c]
+            row_of[c] = r
+            cols[r], c = c, cols[r]
+            if r == i:
+                break
+    return cols, u, v
 
 
 def _max_agreement(counts: np.ndarray) -> int:
-    rows, cols = _assignment(-counts)
-    return int(counts[rows, cols].sum())
+    cols, _, _ = _assignment(-counts)
+    return int(counts[np.arange(len(cols)), cols].sum())
 
 
 def _unique_row_maxima(tables: np.ndarray):
@@ -340,33 +406,63 @@ def _unique_row_maxima(tables: np.ndarray):
     return top, strict & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
 
 
-def best_label_permutation(counts: np.ndarray):
+def best_label_permutation(counts):
     """Agreement-maximizing label permutation for a contingency table.
 
     Returns the lexicographically smallest permutation ``perm`` (1-based:
     ``perm[i-1]`` is the column matched to row i) among all maximizers,
-    together with the total agreement.  Rows are fixed in order, each by one
-    assignment solve over the rows not yet fixed and the columns still free,
-    with cost ``-k * counts`` plus, on the row being fixed only, each free
-    column's rank among them.  A rank is below k, so it never outweighs one
-    unit of agreement: the solve keeps the optimum and gives the row the
-    smallest column that admits an optimal completion.  The last row takes
-    the column left, so a k x k table takes k - 1 solves, and the costs are
-    integers of magnitude at most k * n, exact in float64.
+    together with the total agreement.  One assignment solve on
+    ``-counts`` gives an optimum and exact integer duals ``u, v``; the
+    maximizers are then exactly the perfect matchings on the tight edges,
+    where ``-counts[r][c] == u[r] + v[c]``.  Rows are fixed in order, each
+    to the smallest free tight column for which an alternating path of tight
+    edges moves the rows not yet fixed onto the other free columns.  A 1 x 1
+    table needs no solve.
+
+    Raises:
+        ShapeMismatch: a table that is not square, or an entry that is not a
+            whole number of at least 0.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    k = counts.shape[0]
-    if counts.shape != (k, k):
-        raise ShapeMismatch(f"contingency table must be square, got {counts.shape}")
-    perm = np.arange(k)
-    for i in range(k - 1):
-        cost = -k * counts[i:, perm[i:]]
-        cost[0] += np.arange(k - i)
-        # Rows come back in order, so cols[0] is row i's pick among the free columns;
-        # moving it to position i leaves the free columns after it ascending.
-        j = i + int(_assignment(cost)[1][0])
-        perm[i:j + 1] = np.concatenate((perm[j:j + 1], perm[i:j]))
-    return perm + 1, int(counts[np.arange(k), perm].sum())
+    raw = np.asarray(counts)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise ShapeMismatch(f"contingency table must be square, got {raw.shape}")
+    k = raw.shape[0]
+    table = _whole(raw, "counts")
+    if table.min(initial=0) < 0:
+        raise ShapeMismatch(f"counts must be at least 0, got {table.min()}")
+    if k < 2:
+        return np.ones(k, dtype=np.int64), int(table.sum())
+    cols, u, v = _assignment(-table)
+    values = table.tolist()
+    tight = [[c for c in range(k) if -row[c] == u[r] + v[c]] for r, row in enumerate(values)]
+    row_of = [0] * k
+    for r, c in enumerate(cols):
+        row_of[c] = r
+    fixed = [False] * k
+
+    def reroute(r: int, seen: list, free: int) -> bool:
+        """Move row ``r`` along tight edges, and the rows it displaces, onto ``free``."""
+        for c in tight[r]:
+            if not seen[c]:
+                seen[c] = True
+                if c == free or reroute(row_of[c], seen, free):
+                    cols[r], row_of[c] = c, r
+                    return True
+        return False
+
+    for i in range(k):
+        for c in tight[i]:
+            if c == cols[i]:
+                break
+            if fixed[c]:
+                continue
+            seen = fixed.copy()
+            seen[c] = True
+            if reroute(row_of[c], seen, cols[i]):
+                cols[i], row_of[c] = c, i
+                break
+        fixed[cols[i]] = True
+    return np.array(cols, dtype=np.int64) + 1, sum(row[c] for row, c in zip(values, cols))
 
 
 def dice(a, b) -> float:
@@ -402,7 +498,6 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     maxima, its only optimum, and only the other tables call
     ``best_label_permutation``.  Ties go to the lowest cluster id.  Cluster
     ids that win no vertex are reported in the metadata, not repaired.
-    ``scipy.optimize`` is imported on every call, solve or not.
 
     Raises:
         TooFewPoints: ``k`` is not an integer in 1..n for n points, or
@@ -412,8 +507,6 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     if not (_is_int(num_seeds) and num_seeds >= 1):
         raise TooFewPoints(f"need an integer number of seeds >= 1, got {num_seeds!r}")
     _check_seed(base_seed)
-    # Loaded whether or not a table needs it: see the module docstring.
-    import scipy.optimize  # noqa: F401
     points = emb.coords if isinstance(emb, Embedding) else np.asarray(emb, dtype=np.float64)
     if row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)

@@ -40,7 +40,9 @@ class DimensionMismatch(MVSpectralError):
 class ShapeMismatch(MVSpectralError):
     """Labels are not 1-d whole numbers in 1..k, or labellings differ in length or k.
 
-    Also raised by ``dice`` for labellings with no vertex.
+    Also raised by ``dice`` for labellings with no vertex, and by
+    ``best_label_permutation`` for a contingency table that is not square or
+    holds an entry other than a whole number of at least 0.
     """
 
     exit_code = EXIT_INPUT

@@ -336,6 +336,43 @@ class TestLockstepKernel:
             assert tied and shared
 
 
+def assignment_tables():
+    """Seeded square integer cost tables with k <= 8: spread, tie-heavy, all-zero, negative."""
+    rng = np.random.default_rng(25)
+    tables = []
+    for k in range(1, 9):
+        for _ in range(6 if k < 8 else 3):
+            tables.append(rng.integers(0, 40, size=(k, k)))
+            tables.append(rng.integers(0, 2, size=(k, k)))
+            tables.append(rng.integers(-25, 10, size=(k, k)))
+        tables.append(np.zeros((k, k), dtype=np.int64))
+        tables.append(-rng.integers(0, 3, size=(k, k)))
+    return tables
+
+
+class TestAssignmentSolver:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return [(cost, *clustering._assignment(cost)) for cost in assignment_tables()]
+
+    def test_optimum_equals_brute_force(self, solved):
+        for cost, cols, _, _ in solved:
+            k = cost.shape[0]
+            perms = np.array(list(itertools.permutations(range(k))))
+            assert sorted(cols) == list(range(k))
+            assert cost[np.arange(k), cols].sum() == cost[np.arange(k), perms].sum(axis=1).min()
+
+    def test_duals_feasible_and_tight_on_the_matching(self, solved):
+        for cost, cols, u, v in solved:
+            k = cost.shape[0]
+            assert all(isinstance(x, int) for x in u + v)
+            reduced = cost - np.array(u, dtype=np.int64)[:, None] - np.array(v, dtype=np.int64)
+            assert (reduced >= 0).all()
+            assert (reduced[np.arange(k), cols] == 0).all()
+            # So the optimum is the dual objective, exactly.
+            assert cost[np.arange(k), cols].sum() == sum(u) + sum(v)
+
+
 class TestMatchPermutation:
     def test_cyclic_shift_recovered(self):
         a = np.array([1, 1, 2, 2, 3, 3])
@@ -364,10 +401,19 @@ class TestMatchPermutation:
             counts = rng.integers(0, high, size=(k, k))
             solves.clear()
             perm, total = best_label_permutation(counts)
-            assert len(solves) <= k - 1
+            assert len(solves) == 1
             oracle_perm, oracle_total = exhaustive_best_permutation(counts)
             assert total == oracle_total
             np.testing.assert_array_equal(perm, oracle_perm)
+
+    @pytest.mark.parametrize("high", [2, 4, 30], ids=["tie-heavy", "ties", "spread"])
+    def test_matches_exhaustive_at_k8(self, solves, high):
+        counts = np.random.default_rng(high).integers(0, high, size=(8, 8))
+        perm, total = best_label_permutation(counts)
+        assert len(solves) == 1
+        oracle_perm, oracle_total = exhaustive_best_permutation(counts)
+        assert total == oracle_total
+        np.testing.assert_array_equal(perm, oracle_perm)
 
     def test_tie_break_lexicographic(self):
         counts = np.ones((3, 3), dtype=int)
@@ -477,7 +523,7 @@ class TestDice:
     def test_whole_float_labels_accepted(self):
         assert dice([1.0, 2.0, 2.0], [2, 1, 1]) == 1.0
 
-    def test_assignment_solver_imported_on_first_solve(self):
+    def test_dice_never_loads_scipy_optimize(self):
         a, b = [1, 1, 2, 2, 3, 3], [2, 2, 1, 3, 3, 3]
         script = (
             "import json, sys\n"
@@ -488,7 +534,7 @@ class TestDice:
         )
         before, loaded_after, value = run_fresh(script)
         assert before == ["scipy.linalg"]
-        assert loaded_after
+        assert not loaded_after
         assert value == dice(a, b) == 5 / 6
 
     @pytest.mark.parametrize("assignment", [[[1, 2], [2, 1]], [1.5, 2.0], [0, 1], [1, 3]],
@@ -500,16 +546,30 @@ class TestDice:
 
 
 class TestConsensusLabelling:
-    def test_solver_imported_without_a_solve(self):
-        # One seed leaves no table to align, so no assignment solve runs.
+    def test_consensus_and_cluster_never_load_scipy_optimize(self, tmp_path):
+        # Noisy points give tables with ties, so the consensus makes solves;
+        # then a whole `mvspectral cluster` runs in the same process.
         script = (
-            "import json, sys\n"
-            "import mvspectral\n"
-            "before = 'scipy.optimize' in sys.modules\n"
-            "lab = mvspectral.consensus_labelling([[0.0], [0.1], [5.0], [5.1]], 2, num_seeds=1)\n"
-            "print(json.dumps([before, 'scipy.optimize' in sys.modules]))\n"
+            "import contextlib, io, json, sys\n"
+            "import numpy as np\n"
+            "import mvspectral.clustering as clustering\n"
+            "from mvspectral.cli import main\n"
+            "solves = []\n"
+            "real = clustering._assignment\n"
+            "clustering._assignment = lambda cost: solves.append(cost.shape) or real(cost)\n"
+            "points = np.random.default_rng(4).normal(size=(30, 2))\n"
+            "clustering.consensus_labelling(points, 5, num_seeds=20)\n"
+            "after_consensus = 'scipy.optimize' in sys.modules\n"
+            f"out = {str(tmp_path)!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['synth', '--n', '40', '--k-true', '4', '--m', '6', '--seed', '1',\n"
+            "                   '--outdir', out + '/f']),\n"
+            "             main(['cluster', '--manifest', out + '/f/manifest.json', '--k', '4',\n"
+            "                   '--output', out + '/r.json'])]\n"
+            "print(json.dumps([len(solves) > 0, after_consensus, codes,\n"
+            "                  'scipy.optimize' in sys.modules]))\n"
         )
-        assert run_fresh(script) == [False, True]
+        assert run_fresh(script) == [True, False, [0, 0], False]
 
     def test_single_seed_equals_kmeans(self):
         rng = np.random.default_rng(10)

@@ -19,11 +19,13 @@ from mvspectral import (
     MVSpectralError,
     NotOrthogonal,
     Partition,
+    ShapeMismatch,
     SyntheticSpec,
     TooFewPoints,
     ViewGraph,
     WeightVector,
     aasc_weights,
+    best_label_permutation,
     compute_embedding,
     consensus_labelling,
     consistency_experiment,
@@ -187,6 +189,11 @@ def series_with_nan():
     (lambda: jdl_embed(joint_diagonalize(triangles()),
                        MultiViewSet([ViewGraph.from_weights(np.ones((4, 4)))]), 2),
      DimensionMismatch, Exception, 2),
+    (lambda: best_label_permutation([[1.5, 0.0], [0.0, 2.7]]), ShapeMismatch, Exception, 2),
+    (lambda: best_label_permutation([[1.0, np.nan], [0.0, 2.0]]), ShapeMismatch, Exception, 2),
+    (lambda: best_label_permutation([[1.0, np.inf], [0.0, 2.0]]), ShapeMismatch, Exception, 2),
+    (lambda: best_label_permutation([[1, -1], [0, 2]]), ShapeMismatch, Exception, 2),
+    (lambda: best_label_permutation([["1", "0"], ["0", "2"]]), ShapeMismatch, Exception, 2),
 ], ids=["timeseries-nonfinite", "view-type", "eig-graph-type", "eigvals-graph-type",
         "weights-negative", "weights-sum",
         "weights-nan",
@@ -211,7 +218,9 @@ def series_with_nan():
         "kmeans-1d-points", "partition-2d",
         "timeseries-1d", "timeseries-one-region", "cut-partition-size", "ncut-partition-size",
         "set-no-views", "weights-2d", "off-cost-basis-shape", "off-cost-mixed-shapes",
-        "jdl-non-numeric", "jdl-embed-other-n"])
+        "jdl-non-numeric", "jdl-embed-other-n", "permutation-fractional-count",
+        "permutation-nan-count", "permutation-inf-count", "permutation-negative-count",
+        "permutation-text-count"])
 def test_typed_error_and_exit_code(call, error, builtin, exit_code):
     with pytest.raises(error) as info:
         call()
