@@ -128,6 +128,11 @@ def _off_total(stack: np.ndarray, scratch: np.ndarray) -> float:
     return max(0.0, float(squares.sum() - (diag * diag).sum()))
 
 
+def _largest_magnitude(a: np.ndarray) -> float:
+    """``np.abs(a).max()`` without an array of absolute values."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _round_robin_schedule(n: int) -> list:
     """Circle-method (Brent-Luk) ordering of all index pairs of ``0..n-1``.
 
@@ -204,29 +209,29 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
     if not (isinstance(max_sweeps, (int, np.integer)) and max_sweeps >= 1 and 0 <= tol < np.inf):
         raise InvalidSpec(f"need an integer max_sweeps >= 1 and a finite tol >= 0, "
                           f"got {max_sweeps!r} and {tol!r}")
-    stack = _square_family(matrices)
-    n = stack.shape[1]
-    scale = float(np.abs(stack).max())
-    asym = float(np.abs(stack - np.transpose(stack, (0, 2, 1))).max())
+    family = _square_family(matrices)
+    m, n = family.shape[:2]
+    scale = _largest_magnitude(family)
+    asym = _largest_magnitude(family - np.transpose(family, (0, 2, 1)))
     if scale > 0 and asym > 1e-8 * scale:
         raise NotSymmetric("input matrices are not symmetric within 1e-8")
-    size = n + n % 2
-    h = size // 2
-    m = stack.shape[0]
-    # Views innermost, (size, size, m): a row is then one contiguous run of
-    # size * m values.
-    original = np.zeros((size, size, m))
     # For exactly symmetric input 0.5 (A + A^T) is A, so only asymmetry costs a copy.
     if asym:
-        stack = 0.5 * (stack + np.transpose(stack, (0, 2, 1)))
-    original[:n, :n] = stack.transpose(1, 2, 0)
+        family = 0.5 * (family + np.transpose(family, (0, 2, 1)))
+    size = n + n % 2
+    h = size // 2
     # orders[t] is step t's pair-interleaved index order: its i-th pair at 2i, 2i+1.
     orders = [np.stack(pairs, axis=1).ravel() for pairs in _round_robin_schedule(size)]
     order = orders[0]
     # gathers[t] moves rows from step t's order to step t+1's (step 0's after the last).
     gathers = [np.argsort(a)[b] for a, b in zip(orders, orders[1:] + orders[:1])]
+    # Step-0 positions of the indices 0..n-1, which leave out the pad.
+    where = np.argsort(order)[:n]
 
-    stack = np.ascontiguousarray(original[np.ix_(order, order)])
+    # Views innermost, (size, size, m): a row is then one contiguous run of
+    # size * m values.  The family is scattered straight into step 0's order.
+    stack = np.zeros((size, size, m))
+    stack[np.ix_(where, where)] = family.transpose(1, 2, 0)
     spare = np.empty_like(stack)
     # Basis vectors as rows, in step-0 order.
     basis = np.eye(size)[order]
@@ -272,7 +277,8 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
             # the pad's coordinate n, whose only vector is e_n: restore it.
             q[n:] = basis.T[n:]
             basis[:] = q.T
-            stack[:] = np.einsum("ji,jkm,kl->ilm", q, original, q, optimize=True)
+            # The pad's row and column of the family are zero.
+            stack[:] = np.einsum("ji,mjk,kl->ilm", q[:n], family, q[:n], optimize=True)
             reortho += 1
             new_off = _off_total(stack, spare)
             history[-1] = new_off
@@ -282,8 +288,6 @@ def joint_diagonalize_matrices(matrices, tol: float = DEFAULT_TOL,
             converged = True
             break
 
-    # Step-0 positions of the indices 0..n-1, which leave out the pad.
-    where = np.argsort(order)[:n]
     diag = stack[where, where].mean(axis=1)
     columns = fix_column_signs(np.ascontiguousarray(basis[where, :n].T))
     columns.setflags(write=False)

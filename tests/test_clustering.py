@@ -114,8 +114,9 @@ def lockstep_families():
     identical (every k-means++ total is 0), k=1, k=n, noise in one
     dimension, coordinates scaled so that squared distances are subnormal
     (1e-160) or near the top of the range (1e150), and few noisy points for
-    many clusters, whose runs disagree so much that contingency tables
-    between them have tied rows and shared argmax columns."""
+    many clusters (k=5, and k=7 above the permutation scan), whose runs
+    disagree so much that contingency tables between them have tied rows
+    and shared argmax columns."""
     rng = np.random.default_rng(20)
     blobs, _ = blob_points(rng, [(0, 0), (6, 0), (0, 6), (6, 6)], 12, sigma=1.5)
     line, _ = blob_points(rng, [(0,), (3,), (7,)], 15, sigma=1.2)
@@ -136,6 +137,7 @@ def lockstep_families():
         "scaled-1e-160": (blobs * 1e-160, 4, cap),
         "scaled-1e150": (blobs * 1e150, 4, cap),
         "tie-heavy": (rng.normal(size=(14, 2)), 5, cap),
+        "tie-heavy-k7": (rng.normal(size=(16, 2)), 7, cap),
     }
 
 
@@ -162,6 +164,22 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(clustering, "_assignment", counting)
     return calls
+
+
+def consensus_tables(points, k, num_seeds, base_seed):
+    """The contingency tables a consensus aligns: each later run against the first."""
+    runs = clustering._lloyd(clustering._points(points, k), k,
+                             range(base_seed, base_seed + num_seeds), clustering.KMEANS_MAX_ITER)[0]
+    first = Labelling(assignment=runs[0] + 1, k=k)
+    return [contingency_table(Labelling(assignment=r + 1, k=k), first) for r in runs[1:]]
+
+
+def hard_tables(tables, k):
+    """Tables with a tied row maximum, and tables whose rows share an argmax column."""
+    tied = [t for t in tables
+            if (np.count_nonzero(t == t.max(axis=1, keepdims=True), axis=1) > 1).any()]
+    shared = [t for t in tables if np.unique(t.argmax(axis=1)).size < k]
+    return tied, shared
 
 
 def run_fresh(script: str):
@@ -314,11 +332,12 @@ class TestLockstepKernel:
         pytest.param("blobs-1d", 50, id="blobs-1d"),
         pytest.param("duplicates", 50, id="duplicates"),
         pytest.param("tie-heavy", 100, id="tie-heavy"),
+        pytest.param("tie-heavy-k7", 40, id="tie-heavy-k7"),
         pytest.param("blobs", 1, id="one-seed"),
         pytest.param("blobs", 2, id="two-seeds"),
         pytest.param("k-1", 20, id="k-1"),
     ])
-    def test_consensus_equals_reference_consensus(self, family, num_seeds, monkeypatch):
+    def test_consensus_equals_reference_consensus(self, family, num_seeds, solves, monkeypatch):
         solved = []
         real = clustering.best_label_permutation
         monkeypatch.setattr(clustering, "best_label_permutation",
@@ -329,11 +348,31 @@ class TestLockstepKernel:
         np.testing.assert_array_equal(lab.assignment, assignment)
         np.testing.assert_array_equal(lab.mode_support, support)
         assert len(solved) <= num_seeds - 1
+        if k <= clustering.PERMUTATION_SCAN_MAX_K:
+            # Every table, hard ones included, is matched by the permutation scan.
+            assert solved == [] and solves == []
         if family == "tie-heavy":
-            tied = [t for t in solved
-                    if (np.count_nonzero(t == t.max(axis=1, keepdims=True), axis=1) > 1).any()]
-            shared = [t for t in solved if np.unique(t.argmax(axis=1)).size < k]
+            tied, shared = hard_tables(consensus_tables(pts, k, num_seeds, 3), k)
             assert tied and shared
+        if family == "tie-heavy-k7":
+            tied, shared = hard_tables(solved, k)
+            assert tied and shared and len(solves) == len(solved)
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 10])
+    def test_same_bits_in_c_and_fortran_order(self, d):
+        # From eight contiguous coordinates on, numpy sums a point's squared
+        # differences pairwise, not left to right.
+        pts = np.random.default_rng(30 + d).normal(size=(40, d))
+        c, f = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        for seed in range(5):
+            labels, objective = kmeans(c, 4, seed)
+            f_labels, f_objective = kmeans(f, 4, seed)
+            np.testing.assert_array_equal(labels, f_labels)
+            assert objective == f_objective
+        lab = consensus_labelling(c, 4, num_seeds=20)
+        f_lab = consensus_labelling(f, 4, num_seeds=20)
+        np.testing.assert_array_equal(lab.assignment, f_lab.assignment)
+        np.testing.assert_array_equal(lab.mode_support, f_lab.mode_support)
 
 
 def assignment_tables():
@@ -415,6 +454,18 @@ class TestMatchPermutation:
         assert total == oracle_total
         np.testing.assert_array_equal(perm, oracle_perm)
 
+    @pytest.mark.parametrize("k", range(1, clustering.PERMUTATION_SCAN_MAX_K + 1))
+    def test_permutation_scan_equals_exhaustive(self, k):
+        rng = np.random.default_rng(40 + k)
+        # Entries in 0..2 tie many rows and many optimal matchings.
+        tables = np.concatenate([rng.integers(0, 3, size=(40, k, k)),
+                                 rng.integers(0, 20, size=(40, k, k)),
+                                 np.zeros((1, k, k), dtype=np.int64)])
+        perms = clustering._scan_permutations(tables)
+        for table, perm in zip(tables, perms):
+            np.testing.assert_array_equal(perm + 1, exhaustive_best_permutation(table)[0])
+        assert clustering._scan_permutations(tables[:0]).shape == (0, k)
+
     def test_tie_break_lexicographic(self):
         counts = np.ones((3, 3), dtype=int)
         perm, total = best_label_permutation(counts)
@@ -423,11 +474,12 @@ class TestMatchPermutation:
 
     def test_fast_path_on_permuted_diagonal_dominant_tables(self, solves):
         # Blobs 10 apart with spread 0.3 give every run the same clusters, so
-        # each table with the first is a permuted diagonal; consensus matches
-        # them by their row maxima and never calls the matcher.
-        pts, _ = blob_points(np.random.default_rng(11), [(0, 0), (10, 0), (0, 10), (10, 10)],
-                             8, sigma=0.3)
-        consensus_labelling(pts, k=4, num_seeds=40, base_seed=1)
+        # each table with the first is a permuted diagonal; above the
+        # permutation scan's k, consensus matches them by their row maxima
+        # and never calls the matcher.
+        centers = [(10 * (i % 4), 10 * (i // 4)) for i in range(8)]
+        pts, _ = blob_points(np.random.default_rng(11), centers, 8, sigma=0.3)
+        consensus_labelling(pts, k=8, num_seeds=40, base_seed=1)
         assert solves == []
 
     @pytest.mark.parametrize("counts", [
@@ -547,8 +599,9 @@ class TestDice:
 
 class TestConsensusLabelling:
     def test_consensus_and_cluster_never_load_scipy_optimize(self, tmp_path):
-        # Noisy points give tables with ties, so the consensus makes solves;
-        # then a whole `mvspectral cluster` runs in the same process.
+        # Noisy points give tables with ties: at k=5 the permutation scan
+        # matches them, at k=7 the consensus makes solves.  Then a whole
+        # `mvspectral cluster` runs in the same process.
         script = (
             "import contextlib, io, json, sys\n"
             "import numpy as np\n"
@@ -559,6 +612,8 @@ class TestConsensusLabelling:
             "clustering._assignment = lambda cost: solves.append(cost.shape) or real(cost)\n"
             "points = np.random.default_rng(4).normal(size=(30, 2))\n"
             "clustering.consensus_labelling(points, 5, num_seeds=20)\n"
+            "scanned = len(solves)\n"
+            "clustering.consensus_labelling(points, 7, num_seeds=20)\n"
             "after_consensus = 'scipy.optimize' in sys.modules\n"
             f"out = {str(tmp_path)!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -566,10 +621,10 @@ class TestConsensusLabelling:
             "                   '--outdir', out + '/f']),\n"
             "             main(['cluster', '--manifest', out + '/f/manifest.json', '--k', '4',\n"
             "                   '--output', out + '/r.json'])]\n"
-            "print(json.dumps([len(solves) > 0, after_consensus, codes,\n"
+            "print(json.dumps([scanned, len(solves) > 0, after_consensus, codes,\n"
             "                  'scipy.optimize' in sys.modules]))\n"
         )
-        assert run_fresh(script) == [True, False, [0, 0], False]
+        assert run_fresh(script) == [0, True, False, [0, 0], False]
 
     def test_single_seed_equals_kmeans(self):
         rng = np.random.default_rng(10)
