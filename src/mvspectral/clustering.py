@@ -7,12 +7,15 @@ between two labellings is their maximum agreement over all cluster matchings,
 so it is invariant to label renumbering.
 
 There is one Lloyd kernel, and it runs any number of seeds in lockstep: all
-seeds draw their k-means++ centroids in one vectorized pass, each from its own
-generator and in its own draw order, all seeds share each vectorized Lloyd
+seeds draw their k-means++ centroids in one vectorized pass, each seed the
+draws of its own ``default_rng(seed)`` in its own draw order, made for all
+seeds at once by ``_streams.Streams``; all seeds share each vectorized Lloyd
 iteration, and each seed stops on its own, at an assignment fixpoint or when
 an update leaves its centroids unchanged or returns those of two iterations
 back.  Every seed's labels and objective equal those of an independent
-single-seed run.  ``kmeans`` is that kernel with one seed.  Each point's
+single-seed run.  ``kmeans`` is that kernel with one seed, so it pays the
+array streams' fixed cost, about 0.2 ms over a ``Generator``'s (0.66 against
+0.46 ms for one run at n=116, k=5 on a 2-core VM).  Each point's
 nearest centroid is a running minimum over the k centroids, taken one at a
 time with ties kept by the lower id, so no (S, n, k) distance table is
 built; k-means++ keeps that minimum while it draws, and hands Lloyd the
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import Streams
 from .eigen import Embedding
 from .errors import InvalidSpec, NonFiniteDistances, ShapeMismatch, TooFewPoints, _is_int
 
@@ -153,15 +157,18 @@ def _closer(points: np.ndarray, centroid: np.ndarray, j: int, best: np.ndarray,
     """Move to id ``j`` every point strictly closer to ``centroid`` (S, d) than ``best``."""
     dist = ((points - centroid[:, None, :]) ** 2).sum(axis=-1)
     closer = dist < best
-    np.copyto(best, dist, where=closer)
-    np.copyto(assign, j, where=closer)
+    # Distances are at least 0 and never NaN here, so the minimum is the
+    # distance where it is strictly smaller and ``best`` elsewhere.
+    np.minimum(best, dist, out=best)
+    np.putmask(assign, closer, j)
 
 
 def _kmeanspp(points: np.ndarray, k: int, seeds):
     """k-means++ centroids of shape (S, k, d), all seeds drawn together.
 
-    Each seed draws from its own ``default_rng(seed)`` in the order of the
-    one-seed loop: ``integers(n)`` for the first centroid, then per centroid
+    Each seed makes the draws of its own ``default_rng(seed)`` in the order
+    of the one-seed loop, all seeds' draws of a step made at once by
+    ``Streams``: ``integers(n)`` for the first centroid, then per centroid
     ``integers(n)`` when its squared distances sum to 0, else ``choice(n,
     p=closest / total)``.  That choice is computed here as
     ``Generator.choice`` computes it: one ``random()`` double ``u`` and the
@@ -176,9 +183,10 @@ def _kmeanspp(points: np.ndarray, k: int, seeds):
         (centroids, nearest-centroid ids of shape (S, n), objectives of shape (S,))
     """
     n = points.shape[0]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    centroids = np.empty((len(rngs), k, points.shape[1]))
-    centroids[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
+    streams = Streams(seeds)
+    every = np.arange(len(seeds))
+    centroids = np.empty((len(seeds), k, points.shape[1]))
+    centroids[:, 0] = points[streams.integers(n, every)]
     # An overflow here is reported as NonFiniteDistances, not as a warning.
     with np.errstate(over="ignore"):
         closest = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
@@ -189,14 +197,13 @@ def _kmeanspp(points: np.ndarray, k: int, seeds):
         raise NonFiniteDistances("squared distances between points are not finite")
     for j in range(1, k):
         live = total > 0.0
-        # A seed whose total is 0 draws integers(n), exact as a float.
-        draws = np.array([rng.random() if alive else float(rng.integers(n))
-                          for rng, alive in zip(rngs, live.tolist())])
-        picks = draws.astype(np.int64)
+        picks = np.empty(len(seeds), dtype=np.int64)
         if live.any():
             cdf = np.cumsum(closest[live] / total[live, None], axis=1)
             cdf /= cdf[:, -1:]
-            picks[live] = (cdf <= draws[live, None]).sum(axis=1)
+            picks[live] = (cdf <= streams.random(every[live])[:, None]).sum(axis=1)
+        if not live.all():
+            picks[~live] = streams.integers(n, every[~live])
         centroids[:, j] = points[picks]
         _closer(points, centroids[:, j], j, closest, nearest)
         total = closest.sum(axis=1)
@@ -243,11 +250,12 @@ def _cluster_sums(points: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np
 def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None = None):
     """k-means++ and Lloyd iterations for every seed in lockstep.
 
-    Each seed draws its initial centroids from its own ``default_rng(seed)``
-    and leaves the active set at its own assignment fixpoint, when an
-    update leaves its centroids unchanged or returns those of two
-    iterations back, or after ``max_iter`` iterations, so every row of the
-    result equals an independent single-seed run.  The centroids alone
+    Each seed draws its initial centroids as its own ``default_rng(seed)``
+    would, all seeds in one pass of ``_kmeanspp``, and leaves the active set
+    at its own assignment fixpoint, when an update leaves its centroids
+    unchanged or returns those of two iterations back, or after
+    ``max_iter`` iterations, so every row of the result equals an
+    independent single-seed run.  The centroids alone
     determine the next ones, so unchanged centroids repeat forever, and
     centroids equal to those of two iterations back alternate between the
     last two states up to ``max_iter``: such a seed keeps the state the cap
@@ -557,6 +565,7 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     if row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         points = np.where(norms > 0, points / np.where(norms > 0, norms, 1.0), points)
+    base_seed = int(base_seed)
     runs, _ = _lloyd(_points(points, k), k, range(base_seed, base_seed + num_seeds),
                      KMEANS_MAX_ITER)
     n = runs.shape[1]

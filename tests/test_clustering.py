@@ -303,17 +303,25 @@ class TestLockstepKernel:
         pts = rng.normal(size=(40, 3))
         # Squared distances from these points to ordinary centroids overflow to inf.
         pts[:4] *= 1e200
-        centroids = rng.normal(size=(5, 6, 3))
+        centroids = rng.normal(size=(6, 6, 3))
         centroids[:, 4] = centroids[:, 1]  # exact ties between ids 1 and 4
         centroids[2, 3] = centroids[2, 0]  # and between 0 and 3 in one seed
         centroids[3, 5] = pts[0]           # the one finite distance of point 0
+        centroids[4, 2, 1] = np.inf        # +inf distances to a centroid, never nearest,
+        centroids[4, 3] = centroids[4, 2]  # tied with a duplicate at +inf,
+        centroids[5, 0, 2] = -np.inf       # and a running minimum that starts at +inf
         with np.errstate(over="ignore"):
             pairs = ((pts[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=-1)
             ids, dist = clustering._nearest(pts, centroids)
-        assert np.isinf(pairs).any() and (pairs == pairs.min(axis=2, keepdims=True)).sum() > 5 * 40
+        assert not np.isnan(pairs).any()
+        assert np.isinf(pairs).any() and (pairs == pairs.min(axis=2, keepdims=True)).sum() > 6 * 40
         np.testing.assert_array_equal(ids, np.argmin(pairs, axis=2))
         np.testing.assert_array_equal(dist, np.min(pairs, axis=2))
         assert ids[3, 0] == 5 and (ids[:, 1:4] == 0).all()
+        # Exact ties keep the lower id, at finite distances and at +inf.
+        assert (ids != 4).all() and (ids[2] != 3).all()
+        assert np.isinf(pairs[4, :, 2]).all() and not np.isin(ids[4], (2, 3)).any()
+        assert np.isinf(pairs[5, :, 0]).all() and (ids[5, 4:] != 0).all()
 
     def test_points_near_1e200_raise_the_typed_error_without_warnings(self):
         rng = np.random.default_rng(21)
@@ -327,24 +335,29 @@ class TestLockstepKernel:
                 with pytest.raises(NonFiniteDistances, match="not finite"):
                     consensus_labelling(pts, k, num_seeds=10)
 
-    @pytest.mark.parametrize("family, num_seeds", [
-        pytest.param("blobs", 50, id="blobs"),
-        pytest.param("blobs-1d", 50, id="blobs-1d"),
-        pytest.param("duplicates", 50, id="duplicates"),
-        pytest.param("tie-heavy", 100, id="tie-heavy"),
-        pytest.param("tie-heavy-k7", 40, id="tie-heavy-k7"),
-        pytest.param("blobs", 1, id="one-seed"),
-        pytest.param("blobs", 2, id="two-seeds"),
-        pytest.param("k-1", 20, id="k-1"),
+    @pytest.mark.parametrize("family, num_seeds, base_seed", [
+        pytest.param("blobs", 50, 3, id="blobs"),
+        pytest.param("blobs-1d", 50, 3, id="blobs-1d"),
+        pytest.param("duplicates", 50, 3, id="duplicates"),
+        pytest.param("tie-heavy", 100, 3, id="tie-heavy"),
+        pytest.param("tie-heavy-k7", 40, 3, id="tie-heavy-k7"),
+        pytest.param("blobs", 1, 3, id="one-seed"),
+        pytest.param("blobs", 2, 3, id="two-seeds"),
+        pytest.param("k-1", 20, 3, id="k-1"),
+        # Seed ranges that cross a word boundary of the seed's entropy.
+        pytest.param("blobs", 30, 2**32 - 15, id="seeds-across-2^32"),
+        pytest.param("identical", 30, 2**64 - 15, id="seeds-across-2^64"),
+        pytest.param("tie-heavy", 30, 2**128 - 15, id="seeds-across-2^128"),
     ])
-    def test_consensus_equals_reference_consensus(self, family, num_seeds, solves, monkeypatch):
+    def test_consensus_equals_reference_consensus(self, family, num_seeds, base_seed, solves,
+                                                  monkeypatch):
         solved = []
         real = clustering.best_label_permutation
         monkeypatch.setattr(clustering, "best_label_permutation",
                             lambda table: solved.append(table) or real(table))
         pts, k, _ = lockstep_families()[family]
-        lab = consensus_labelling(pts, k, num_seeds=num_seeds, base_seed=3)
-        assignment, support = reference_consensus(pts, k, num_seeds, 3)
+        lab = consensus_labelling(pts, k, num_seeds=num_seeds, base_seed=base_seed)
+        assignment, support = reference_consensus(pts, k, num_seeds, base_seed)
         np.testing.assert_array_equal(lab.assignment, assignment)
         np.testing.assert_array_equal(lab.mode_support, support)
         assert len(solved) <= num_seeds - 1
@@ -352,7 +365,7 @@ class TestLockstepKernel:
             # Every table, hard ones included, is matched by the permutation scan.
             assert solved == [] and solves == []
         if family == "tie-heavy":
-            tied, shared = hard_tables(consensus_tables(pts, k, num_seeds, 3), k)
+            tied, shared = hard_tables(consensus_tables(pts, k, num_seeds, base_seed), k)
             assert tied and shared
         if family == "tie-heavy-k7":
             tied, shared = hard_tables(solved, k)
@@ -625,6 +638,30 @@ class TestConsensusLabelling:
             "                  'scipy.optimize' in sys.modules]))\n"
         )
         assert run_fresh(script) == [0, True, False, [0, 0], False]
+
+    def test_never_builds_a_generator(self, monkeypatch):
+        pts, k, _ = lockstep_families()["blobs"]
+        expected = consensus_labelling(pts, k, num_seeds=20, base_seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.random.default_rng was called")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        lab = consensus_labelling(pts, k, num_seeds=20, base_seed=4)
+        np.testing.assert_array_equal(lab.assignment, expected.assignment)
+        kmeans(pts, k, seed=4)
+
+    @pytest.mark.parametrize("base_seed", [np.int64(2**63 - 10), np.uint64(2**64 - 5)],
+                             ids=["int64", "uint64"])
+    def test_numpy_base_seed_at_the_top_of_its_dtype(self, base_seed):
+        pts, k, _ = lockstep_families()["blobs"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lab = consensus_labelling(pts, k, num_seeds=20, base_seed=base_seed)
+        expected = consensus_labelling(pts, k, num_seeds=20, base_seed=int(base_seed))
+        np.testing.assert_array_equal(lab.assignment, expected.assignment)
+        np.testing.assert_array_equal(lab.mode_support, expected.mode_support)
+        assert lab.seeds_used == 20
 
     def test_single_seed_equals_kmeans(self):
         rng = np.random.default_rng(10)
