@@ -1,25 +1,24 @@
 """Discretization of embeddings and label-space comparisons.
 
 Embedding rows are clustered with seeded k-means++ / Lloyd iterations.  A
-consensus labelling runs many seeds, aligns every run to the first by the
-overlap-maximizing cluster permutation, and takes the per-vertex mode.  Dice
-between two labellings is their maximum agreement over all cluster matchings,
-so it is invariant to label renumbering.
+consensus labelling runs k-means many times, aligns every run to the first by
+the overlap-maximizing cluster permutation, and takes the per-vertex mode.
+Dice between two labellings is their maximum agreement over all cluster
+matchings, so it is invariant to label renumbering.
 
-There is one Lloyd kernel, and it runs any number of seeds in lockstep: all
-seeds draw their k-means++ centroids in one vectorized pass, each seed the
-draws of its own ``default_rng(seed)`` in its own draw order, made for all
-seeds at once by ``_streams.Streams``; all seeds share each vectorized Lloyd
-iteration, and each seed stops on its own, at an assignment fixpoint or when
-an update leaves its centroids unchanged or returns those of two iterations
-back.  Every seed's labels and objective equal those of an independent
-single-seed run.  ``kmeans`` is that kernel with one seed, so it pays the
-array streams' fixed cost, about 0.2 ms over a ``Generator``'s (0.66 against
-0.46 ms for one run at n=116, k=5 on a 2-core VM).  Each point's
-nearest centroid is a running minimum over the k centroids, taken one at a
-time with ties kept by the lower id, so no (S, n, k) distance table is
-built; k-means++ keeps that minimum while it draws, and hands Lloyd the
-first assignment and objective.
+There is one Lloyd kernel, and it runs any number of k-means runs in
+lockstep.  The runs of one seed draw their k-means++ centroids in one
+vectorized pass from one array, ``default_rng(seed).random((runs, k))``, run
+r from row r; rows fill in order, so run r does not depend on the number of
+runs, and ``kmeans`` with a seed is run 0 of a consensus with that base
+seed.  All runs share each vectorized Lloyd iteration, and each stops on its
+own, at an assignment fixpoint or when an update leaves its centroids
+unchanged or returns those of two iterations back.  Every run's labels and
+objective equal those of an independent single-run loop over its row of
+draws.  Each point's nearest centroid is a running minimum over the k
+centroids, taken one at a time with ties kept by the lower id, so no
+(runs, n, k) distance table is built; k-means++ keeps that minimum while it
+draws, and hands Lloyd the first assignment and objective.
 
 A consensus aligns all its runs to the first in one pass over their
 contingency tables, and takes for each the lexicographically smallest
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import Streams
 from .eigen import Embedding
 from .errors import InvalidSpec, NonFiniteDistances, ShapeMismatch, TooFewPoints, _is_int
 
@@ -119,8 +117,15 @@ def _points(points, k: int) -> np.ndarray:
     point left to right only when coordinates are not contiguous; contiguous
     ones, from eight on, it adds in its unrolled pairwise order.  So every
     input takes the one layout, and the same points give the same bits.
+
+    Raises:
+        TooFewPoints: points that are not a 2-d numeric array, or ``k`` that
+            is not an integer in 1..n.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise TooFewPoints(f"points must be a 2-d numeric array: {exc}") from exc
     if pts.ndim != 2:
         raise TooFewPoints(f"points must be 2-d, got shape {pts.shape}")
     n = pts.shape[0]
@@ -163,30 +168,31 @@ def _closer(points: np.ndarray, centroid: np.ndarray, j: int, best: np.ndarray,
     np.putmask(assign, closer, j)
 
 
-def _kmeanspp(points: np.ndarray, k: int, seeds):
-    """k-means++ centroids of shape (S, k, d), all seeds drawn together.
+def _kmeanspp(points: np.ndarray, k: int, seed, runs: int):
+    """k-means++ centroids of shape (runs, k, d), all runs drawn together.
 
-    Each seed makes the draws of its own ``default_rng(seed)`` in the order
-    of the one-seed loop, all seeds' draws of a step made at once by
-    ``Streams``: ``integers(n)`` for the first centroid, then per centroid
-    ``integers(n)`` when its squared distances sum to 0, else ``choice(n,
-    p=closest / total)``.  That choice is computed here as
-    ``Generator.choice`` computes it: one ``random()`` double ``u`` and the
-    index ``searchsorted(cdf, u, side="right")`` into the normalized
-    cumulative sum, which for a nondecreasing ``cdf`` is ``(cdf <= u).sum()``.
+    One generator, ``default_rng(seed)``, draws a (runs, k) array ``u`` of
+    doubles in [0, 1), and run r takes row r.  Its first centroid is point
+    ``floor(u[r, 0] * n)``.  Centroid j is drawn with probability
+    proportional to each point's squared distance to its nearest centroid:
+    the point ``searchsorted(cdf, u[r, j], side="right")`` of the normalized
+    cumulative sum, which for a nondecreasing ``cdf`` is
+    ``(cdf <= u[r, j]).sum()``; when those distances sum to 0, it is point
+    ``floor(u[r, j] * n)``.  A double below 1 times n rounds below n, so
+    every pick is a point.
 
     Each point's squared distance to its nearest drawn centroid is kept as a
     running minimum, as ``_nearest`` keeps it, so once all k are drawn it
     holds the first assignment and objective.
 
     Returns:
-        (centroids, nearest-centroid ids of shape (S, n), objectives of shape (S,))
+        (centroids, nearest-centroid ids of shape (runs, n), objectives of shape (runs,))
     """
     n = points.shape[0]
-    streams = Streams(seeds)
-    every = np.arange(len(seeds))
-    centroids = np.empty((len(seeds), k, points.shape[1]))
-    centroids[:, 0] = points[streams.integers(n, every)]
+    draws = np.random.default_rng(seed).random((runs, k))
+    picks = (draws * n).astype(np.intp)
+    centroids = np.empty((runs, k, points.shape[1]))
+    centroids[:, 0] = points[picks[:, 0]]
     # An overflow here is reported as NonFiniteDistances, not as a warning.
     with np.errstate(over="ignore"):
         closest = ((points - centroids[:, 0, None, :]) ** 2).sum(axis=-1)
@@ -197,14 +203,10 @@ def _kmeanspp(points: np.ndarray, k: int, seeds):
         raise NonFiniteDistances("squared distances between points are not finite")
     for j in range(1, k):
         live = total > 0.0
-        picks = np.empty(len(seeds), dtype=np.int64)
-        if live.any():
-            cdf = np.cumsum(closest[live] / total[live, None], axis=1)
-            cdf /= cdf[:, -1:]
-            picks[live] = (cdf <= streams.random(every[live])[:, None]).sum(axis=1)
-        if not live.all():
-            picks[~live] = streams.integers(n, every[~live])
-        centroids[:, j] = points[picks]
+        cdf = np.cumsum(closest[live] / total[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        picks[live, j] = (cdf <= draws[live, j, None]).sum(axis=1)
+        centroids[:, j] = points[picks[:, j]]
         _closer(points, centroids[:, j], j, closest, nearest)
         total = closest.sum(axis=1)
     return centroids, nearest, total
@@ -247,34 +249,35 @@ def _cluster_sums(points: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np
     return sums
 
 
-def _lloyd(points: np.ndarray, k: int, seeds, max_iter: int, track: list | None = None):
-    """k-means++ and Lloyd iterations for every seed in lockstep.
+def _lloyd(points: np.ndarray, k: int, seed, runs: int, max_iter: int,
+           track: list | None = None):
+    """k-means++ and Lloyd iterations for ``runs`` runs of one seed in lockstep.
 
-    Each seed draws its initial centroids as its own ``default_rng(seed)``
-    would, all seeds in one pass of ``_kmeanspp``, and leaves the active set
+    Run r draws its initial centroids from row r of ``default_rng(seed)``'s
+    draws, all runs in one pass of ``_kmeanspp``, and leaves the active set
     at its own assignment fixpoint, when an update leaves its centroids
     unchanged or returns those of two iterations back, or after
     ``max_iter`` iterations, so every row of the result equals an
-    independent single-seed run.  The centroids alone
+    independent single-run loop.  The centroids alone
     determine the next ones, so unchanged centroids repeat forever, and
     centroids equal to those of two iterations back alternate between the
-    last two states up to ``max_iter``: such a seed keeps the state the cap
+    last two states up to ``max_iter``: such a run keeps the state the cap
     would end on, and stopping changes neither labels nor objective.  These
     stops end the runs with k above the number of distinct points, whose
-    empty-cluster repair each next assignment undoes.  With one seed,
+    empty-cluster repair each next assignment undoes.  With one run,
     ``track`` receives its objective after initialization and after each
     iteration run.
 
     Returns:
-        (0-based assignments of shape (S, n), objectives of shape (S,))
+        (0-based assignments of shape (runs, n), objectives of shape (runs,))
     """
     d = points.shape[1]
-    centroids, assign, objective = _kmeanspp(points, k, seeds)
+    centroids, assign, objective = _kmeanspp(points, k, seed, runs)
     # Centroids of two iterations back; NaN matches nothing.
     older = np.full_like(centroids, np.nan)
     if track is not None:
         track.append(float(objective[0]))
-    active = np.arange(len(seeds))
+    active = np.arange(runs)
     for remaining in range(max_iter - 1, -1, -1):
         if active.size == 0:
             break
@@ -313,19 +316,20 @@ def kmeans(points, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     iterations; empty clusters are repaired by moving the point farthest
     from its current centroid.  Pass a list as ``track`` to collect the
     per-iteration objective (sum of squared distances), which is
-    nonincreasing.  This is the lockstep kernel of ``consensus_labelling``
-    run with one seed.
+    nonincreasing.  This is run 0 of ``consensus_labelling`` with base seed
+    ``seed``: the lockstep kernel with one run.
 
     Returns:
         (assignment with ids 1..k, final objective)
 
     Raises:
-        TooFewPoints: ``k`` is not an integer in 1..n for n points.
+        TooFewPoints: points that are not a 2-d numeric array, or ``k`` that
+            is not an integer in 1..n for n points.
         InvalidSpec: ``seed`` is not an integer of at least 0.
         NonFiniteDistances: squared distances overflow, or a point is NaN.
     """
     _check_seed(seed)
-    assign, objective = _lloyd(_points(points, k), k, [seed], max_iter, track)
+    assign, objective = _lloyd(_points(points, k), k, seed, 1, max_iter, track)
     return assign[0] + 1, float(objective[0])
 
 
@@ -537,16 +541,18 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
                         row_normalize: bool = False) -> Labelling:
     """Mode labelling over many aligned k-means runs.
 
-    k-means runs with seeds ``base_seed .. base_seed + num_seeds - 1``, all
-    in lockstep (one k-means++ pass, then shared Lloyd iterations), each
-    seed stopping at its own assignment fixpoint, when an update leaves its
-    centroids unchanged or returns those of two iterations back, or after
-    ``KMEANS_MAX_ITER`` iterations, with labels identical to ``kmeans`` run
-    once per seed.  Each run is aligned to the first before the per-vertex
-    vote by the lexicographically smallest permutation that maximizes its
-    agreement, as ``best_label_permutation`` gives it, in one pass over all
-    their contingency tables.  Up to ``PERMUTATION_SCAN_MAX_K`` clusters each
-    table is scored against all k! permutations at once; above it, a table
+    ``num_seeds`` k-means runs draw their k-means++ picks from one
+    generator, run r from row r of ``default_rng(base_seed).random((num_seeds,
+    k))``, so run r does not depend on ``num_seeds`` and run 0 is ``kmeans``
+    with seed ``base_seed``.  They run in lockstep (one k-means++ pass, then
+    shared Lloyd iterations), each stopping at its own assignment fixpoint,
+    when an update leaves its centroids unchanged or returns those of two
+    iterations back, or after ``KMEANS_MAX_ITER`` iterations.  Each run is
+    aligned to the first before the per-vertex vote by the lexicographically
+    smallest permutation that maximizes its agreement, as
+    ``best_label_permutation`` gives it, in one pass over all their
+    contingency tables.  Up to ``PERMUTATION_SCAN_MAX_K`` clusters each table
+    is scored against all k! permutations at once; above it, a table
     whose every row has a strict maximum in its own column is matched by
     those maxima, its only optimum, and only the other tables call
     ``best_label_permutation``.  Ties in the vote go to the lowest cluster
@@ -554,20 +560,20 @@ def consensus_labelling(emb, k: int, num_seeds: int = 100, base_seed: int = 0,
     repaired.
 
     Raises:
-        TooFewPoints: ``k`` is not an integer in 1..n for n points, or
-            ``num_seeds`` is not an integer of at least 1.
+        TooFewPoints: points that are not a 2-d numeric array, ``k`` that
+            is not an integer in 1..n for n points, or ``num_seeds`` that is
+            not an integer of at least 1.
         InvalidSpec: ``base_seed`` is not an integer of at least 0.
     """
     if not (_is_int(num_seeds) and num_seeds >= 1):
         raise TooFewPoints(f"need an integer number of seeds >= 1, got {num_seeds!r}")
     _check_seed(base_seed)
-    points = emb.coords if isinstance(emb, Embedding) else np.asarray(emb, dtype=np.float64)
+    points = _points(emb.coords if isinstance(emb, Embedding) else emb, k)
     if row_normalize:
         norms = np.linalg.norm(points, axis=1, keepdims=True)
-        points = np.where(norms > 0, points / np.where(norms > 0, norms, 1.0), points)
-    base_seed = int(base_seed)
-    runs, _ = _lloyd(_points(points, k), k, range(base_seed, base_seed + num_seeds),
-                     KMEANS_MAX_ITER)
+        # A row of norm 0 is divided by 1; the quotient keeps the Fortran order.
+        points = points / np.where(norms > 0, norms, 1.0)
+    runs, _ = _lloyd(points, k, base_seed, num_seeds, KMEANS_MAX_ITER)
     n = runs.shape[1]
     # tables[r - 1][i][j] counts vertices in cluster i of run r and j of run 0.
     cells = (np.arange(num_seeds - 1)[:, None] * k + runs[1:]) * k + runs[0]

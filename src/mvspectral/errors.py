@@ -15,8 +15,8 @@ EXIT_CONFIG = 4
 
 
 def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer."""
-    return isinstance(value, (int, np.integer))
+    """Whether ``value`` is a Python or numpy integer; ``True`` and ``False`` are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class MVSpectralError(Exception):

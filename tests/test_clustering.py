@@ -37,23 +37,30 @@ def exhaustive_best_permutation(counts):
 
 
 def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track=None,
-                     stop_on_repeat=True):
-    """Single-seed k-means++ and Lloyd loop, one cluster at a time (the scalar oracle).
+                     stop_on_repeat=True, run=0, runs=1):
+    """One k-means++ and Lloyd run, one cluster at a time (the scalar oracle).
 
-    It stops at an assignment fixpoint or, with ``stop_on_repeat``, when an
-    update leaves the centroids unchanged or returns those of two iterations
-    back, keeping of the two alternating states the one the cap ends on;
-    without it, such a run goes on to ``max_iter`` (the capped run).
+    Its k-means++ picks take row ``run`` of
+    ``default_rng(seed).random((runs, k))``.  It stops at an assignment
+    fixpoint or, with ``stop_on_repeat``, when an update leaves the
+    centroids unchanged or returns those of two iterations back, keeping of
+    the two alternating states the one the cap ends on; without it, such a
+    run goes on to ``max_iter`` (the capped run).
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).random((runs, k))[run]
     centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[int(rng.integers(n))]
+    centroids[0] = pts[int(np.floor(draws[0] * n))]
     closest = ((pts - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = float(closest.sum())
-        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        if total <= 0.0:
+            idx = int(np.floor(draws[j] * n))
+        else:
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, draws[j], side="right"))
         centroids[j] = pts[idx]
         np.minimum(closest, ((pts - centroids[j]) ** 2).sum(axis=1), out=closest)
 
@@ -95,8 +102,9 @@ def reference_kmeans(points, k, seed, max_iter=clustering.KMEANS_MAX_ITER, track
 
 
 def reference_consensus(points, k, num_seeds, base_seed):
-    """Per-seed reference runs aligned to the first by exhaustive matching, then voted."""
-    runs = [reference_kmeans(points, k, base_seed + r)[0] for r in range(num_seeds)]
+    """Reference runs aligned to the first by exhaustive matching, then voted."""
+    runs = [reference_kmeans(points, k, base_seed, run=r, runs=num_seeds)[0]
+            for r in range(num_seeds)]
     votes = np.zeros((len(points), k), dtype=np.int64)
     for labels in runs:
         counts = np.zeros((k, k), dtype=np.int64)
@@ -168,8 +176,8 @@ def solves(monkeypatch):
 
 def consensus_tables(points, k, num_seeds, base_seed):
     """The contingency tables a consensus aligns: each later run against the first."""
-    runs = clustering._lloyd(clustering._points(points, k), k,
-                             range(base_seed, base_seed + num_seeds), clustering.KMEANS_MAX_ITER)[0]
+    runs = clustering._lloyd(clustering._points(points, k), k, base_seed, num_seeds,
+                             clustering.KMEANS_MAX_ITER)[0]
     first = Labelling(assignment=runs[0] + 1, k=k)
     return [contingency_table(Labelling(assignment=r + 1, k=k), first) for r in runs[1:]]
 
@@ -262,18 +270,34 @@ class TestLockstepKernel:
         monkeypatch.setattr(clustering, "_update_with_repair",
                             lambda *args: repairs.append(1) or repair(*args))
         pts, k, max_iter = lockstep_families()[family]
-        runs, objectives = clustering._lloyd(pts, k, self.SEEDS, max_iter)
+        runs, objectives = clustering._lloyd(pts, k, 7, len(self.SEEDS), max_iter)
         stops = set()
-        for seed in self.SEEDS:
+        for r in self.SEEDS:
             track = []
-            expected, expected_objective = reference_kmeans(pts, k, seed, max_iter, track)
+            expected, expected_objective = reference_kmeans(pts, k, 7, max_iter, track, run=r,
+                                                            runs=len(self.SEEDS))
             stops.add(len(track))
-            np.testing.assert_array_equal(runs[seed] + 1, expected)
-            assert objectives[seed] == expected_objective
+            np.testing.assert_array_equal(runs[r] + 1, expected)
+            assert objectives[r] == expected_objective
         if family in ("duplicates", "identical"):
-            assert repairs, "no seed met an empty cluster"
+            assert repairs, "no run met an empty cluster"
         elif family in ("blobs", "blobs-1d"):
-            assert len(stops) > 1, "every seed stopped at the same iteration"
+            assert len(stops) > 1, "every run stopped at the same iteration"
+
+    @pytest.mark.parametrize("family", ["blobs", "duplicates", "identical", "tie-heavy-k7"])
+    def test_first_runs_do_not_depend_on_the_run_count(self, family):
+        pts, k, max_iter = lockstep_families()[family]
+        runs, objectives = clustering._lloyd(pts, k, 11, 40, max_iter)
+        for count in (1, 2, 17, 39):
+            first, first_objectives = clustering._lloyd(pts, k, 11, count, max_iter)
+            np.testing.assert_array_equal(first, runs[:count])
+            np.testing.assert_array_equal(first_objectives, objectives[:count])
+
+    def test_draws_below_one_pick_a_point(self):
+        # floor(u * n) for the largest double below 1 rounds below n.
+        u = np.nextafter(1.0, 0.0)
+        for n in [1, 2, 3, 7, 116, 2**20 + 1, 2**40 - 3, 2**52 + 1]:
+            assert int(np.floor(u * n)) == n - 1
 
     def test_repeated_centroids_stop_without_changing_the_result(self):
         # Each repair is undone by the next assignment, so these seeds never
@@ -344,7 +368,7 @@ class TestLockstepKernel:
         pytest.param("blobs", 1, 3, id="one-seed"),
         pytest.param("blobs", 2, 3, id="two-seeds"),
         pytest.param("k-1", 20, 3, id="k-1"),
-        # Seed ranges that cross a word boundary of the seed's entropy.
+        # Large base seeds, just below a word boundary of the seed's entropy.
         pytest.param("blobs", 30, 2**32 - 15, id="seeds-across-2^32"),
         pytest.param("identical", 30, 2**64 - 15, id="seeds-across-2^64"),
         pytest.param("tie-heavy", 30, 2**128 - 15, id="seeds-across-2^128"),
@@ -639,17 +663,35 @@ class TestConsensusLabelling:
         )
         assert run_fresh(script) == [0, True, False, [0, 0], False]
 
-    def test_never_builds_a_generator(self, monkeypatch):
+    @pytest.mark.parametrize("num_seeds", [1, 100])
+    def test_one_generator_per_call(self, num_seeds, monkeypatch):
         pts, k, _ = lockstep_families()["blobs"]
-        expected = consensus_labelling(pts, k, num_seeds=20, base_seed=4)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.random.default_rng was called")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        lab = consensus_labelling(pts, k, num_seeds=20, base_seed=4)
+        expected = consensus_labelling(pts, k, num_seeds=num_seeds, base_seed=4)
+        expected_run = kmeans(pts, k, seed=4)
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: calls.append(args) or real(*args))
+        lab = consensus_labelling(pts, k, num_seeds=num_seeds, base_seed=4)
+        assert calls == [(4,)]
         np.testing.assert_array_equal(lab.assignment, expected.assignment)
-        kmeans(pts, k, seed=4)
+        labels, objective = kmeans(pts, k, seed=4)
+        assert calls == [(4,), (4,)]
+        np.testing.assert_array_equal(labels, expected_run[0])
+        assert objective == expected_run[1]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_kmeans_is_run_zero_of_a_consensus(self, seed, monkeypatch):
+        pts, k, _ = lockstep_families()["tie-heavy"]
+        lloyds = []
+        real = clustering._lloyd
+        monkeypatch.setattr(clustering, "_lloyd",
+                            lambda *args: lloyds.append(real(*args)) or lloyds[-1])
+        consensus_labelling(pts, k, num_seeds=30, base_seed=seed)
+        (runs, objectives), = lloyds
+        labels, objective = kmeans(pts, k, seed)
+        np.testing.assert_array_equal(labels, runs[0] + 1)
+        assert objective == objectives[0]
 
     @pytest.mark.parametrize("base_seed", [np.int64(2**63 - 10), np.uint64(2**64 - 5)],
                              ids=["int64", "uint64"])

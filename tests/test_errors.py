@@ -167,6 +167,18 @@ def series_with_nan():
     (lambda: consensus_labelling(points(), 2, num_seeds=2, base_seed=0.5),
      InvalidSpec, Exception, 4),
     (lambda: kmeans(points(), 2, seed=-1), InvalidSpec, Exception, 4),
+    (lambda: kmeans(points(), True, seed=0), TooFewPoints, Exception, 4),
+    (lambda: kmeans(points(), 2, seed=False), InvalidSpec, Exception, 4),
+    (lambda: consensus_labelling(points(), 3, num_seeds=True), TooFewPoints, Exception, 4),
+    (lambda: ExperimentConfig(k=3, num_seeds=True)._validate_run(), InvalidSpec, Exception, 4),
+    (lambda: ExperimentConfig(k=3, rng_seed=False)._validate_run(), InvalidSpec, Exception, 4),
+    (lambda: kmeans([[1.0, 2.0], [3.0]], 1, seed=0), TooFewPoints, Exception, 4),
+    (lambda: consensus_labelling([[1.0, 2.0], [3.0]], 1, num_seeds=2),
+     TooFewPoints, Exception, 4),
+    (lambda: kmeans([["a", "b"], ["c", "d"]], 1, seed=0), TooFewPoints, Exception, 4),
+    (lambda: consensus_labelling([["a", "b"], ["c", "d"]], 1, num_seeds=2,
+                                 row_normalize=True),
+     TooFewPoints, Exception, 4),
     (lambda: generalized_eig(triangle(), 2.5), DimensionError, Exception, 2),
     (lambda: generalized_eig(triangle(), np.float64(2.7)), DimensionError, Exception, 2),
     (lambda: generalized_eigvals(triangle(), 2.5), DimensionError, Exception, 2),
@@ -213,7 +225,10 @@ def series_with_nan():
         "mvsc-fractional-m", "mvscw-fractional-k", "embed-fractional-k", "aasc-fractional-k",
         "jdl-embed-fractional-k", "consensus-fractional-k", "consensus-fractional-seeds",
         "consensus-negative-base-seed", "consensus-fractional-base-seed",
-        "kmeans-negative-seed", "eig-fractional-count", "eig-float64-count",
+        "kmeans-negative-seed", "kmeans-bool-k", "kmeans-bool-seed", "consensus-bool-seeds",
+        "config-bool-num-seeds", "config-bool-rng-seed", "kmeans-ragged-points",
+        "consensus-ragged-points", "kmeans-text-points", "consensus-text-points",
+        "eig-fractional-count", "eig-float64-count",
         "eigvals-fractional-count", "nontrivial-fractional-count", "eigengap-text-k-max",
         "kmeans-1d-points", "partition-2d",
         "timeseries-1d", "timeseries-one-region", "cut-partition-size", "ncut-partition-size",
